@@ -28,14 +28,12 @@ from .detect import (
 from .graph import (
     Graph,
     Graph6Error,
-    Graph6Record,
     SetRelation,
     complement,
     from_graph6,
     induced_subgraph,
     is_clique,
     is_stable_set,
-    read_graph6_records,
     relation,
     to_graph6,
 )

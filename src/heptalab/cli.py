@@ -10,16 +10,17 @@ inconclusive; input errors dominate both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import multiprocessing
 import os
 import sys
 import time
-from multiprocessing import Pool
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .coloring import chromatic_number_exact
-from .corpus import all_graphs_up_to, random_graphs
+from .corpus import all_graphs_up_to
 from .detect import (
     SearchBudgetExceeded,
     clique_number,
@@ -41,6 +42,8 @@ SCHEMA_VERSION = 1
 CHI_CAP = 40
 DETECTOR_BUDGET = 10**8
 EXHAUSTIVE_CUTSET_MAX_N = 12
+# graphs handed to a worker process at a time when --workers is above 1
+POOL_CHUNKSIZE = 16
 
 THEOREM_IDS = {
     "t1.3": "T1.3",
@@ -55,11 +58,30 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _default_workers() -> int:
+def _worker_count(flag: str | None) -> int:
+    """The --workers value, else HEPTALAB_WORKERS, else 1.  Raises
+    ValueError naming a value that is not a positive integer."""
+    source, text = "--workers", flag
+    if text is None:
+        source, text = "HEPTALAB_WORKERS", os.environ.get("HEPTALAB_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("HEPTALAB_WORKERS", "1")))
+        count = int(text)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return count
+
+
+def _ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """``fn`` over ``items``, results in input order: in this process when
+    ``workers`` is 1, else across that many worker processes.  ``fn`` and
+    the items must pickle; results are yielded as they become ready."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        yield from pool.imap(fn, items, chunksize=POOL_CHUNKSIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -67,31 +89,42 @@ def _default_workers() -> int:
 # ---------------------------------------------------------------------------
 
 
+def class_facts(g: Graph, *, stop_early: bool) -> tuple[dict, list[str]]:
+    """The class facts of one graph and notes on the ones left undecided.
+
+    The facts are ``odd_hole_free`` (None when the search hit
+    DETECTOR_BUDGET), ``full_house_free``, ``omega``, ``chi`` (None above
+    CHI_CAP vertices) and ``has_c7_complement``.  With ``stop_early`` the
+    work stops once the graph is not known to be odd-hole-free: every
+    theorem assumes that hypothesis, so nothing further is consumed.
+    """
+    notes: list[str] = []
+    try:
+        odd_hole_free = find_odd_hole(g, budget=DETECTOR_BUDGET) is None
+    except SearchBudgetExceeded:
+        odd_hole_free = None
+        notes.append("odd hole search hit its budget")
+    facts: dict = {"odd_hole_free": odd_hole_free}
+    if stop_early and not odd_hole_free:
+        return facts, notes
+    facts["full_house_free"] = find_full_house(g) is None
+    facts["omega"], _ = clique_number(g)
+    if g.n <= CHI_CAP:
+        facts["chi"] = chromatic_number_exact(g).chi
+    else:
+        facts["chi"] = None
+        notes.append(f"chromatic number skipped (n > {CHI_CAP})")
+    facts["has_c7_complement"] = has_c7_complement(g)
+    return facts, notes
+
+
 def analyze_graph(
-    g: Graph,
-    *,
-    structures: bool = False,
-    budget: int = DETECTOR_BUDGET,
-    cutset_budget: int = DEFAULT_PARITY_BUDGET,
-    with_timings: bool = True,
+    g: Graph, *, structures: bool = False, with_timings: bool = True
 ) -> dict:
     """Full per-graph report: class flags, clique and chromatic numbers, and
     (on request, for class members) structure witnesses."""
     t0 = time.perf_counter()
-    notes: list[str] = []
-    try:
-        odd_hole_free = find_odd_hole(g, budget=budget) is None
-    except SearchBudgetExceeded:
-        odd_hole_free = None
-        notes.append("odd hole search hit its budget")
-    full_house_free = find_full_house(g) is None
-    omega, _ = clique_number(g)
-    if g.n <= CHI_CAP:
-        chi = chromatic_number_exact(g).chi
-    else:
-        chi = None
-        notes.append(f"chromatic number skipped (n > {CHI_CAP})")
-    c7 = has_c7_complement(g)
+    facts, notes = class_facts(g, stop_early=False)
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -99,21 +132,21 @@ def analyze_graph(
         "n": g.n,
         "m": g.edge_count,
         "flags": {
-            "odd_hole_free": odd_hole_free,
-            "full_house_free": full_house_free,
-            "k4_free": omega < 4,
-            "has_c7_complement": c7,
+            "odd_hole_free": facts["odd_hole_free"],
+            "full_house_free": facts["full_house_free"],
+            "k4_free": facts["omega"] < 4,
+            "has_c7_complement": facts["has_c7_complement"],
         },
-        "omega": omega,
-        "chi": chi,
+        "omega": facts["omega"],
+        "chi": facts["chi"],
         "seed": None,
         "structures": None,
         "notes": notes,
     }
-    if structures and odd_hole_free and full_house_free:
+    if structures and facts["odd_hole_free"] and facts["full_house_free"]:
         found: dict = {}
         if g.is_connected() and g.n >= 3:
-            res = find_harmonious_cutset(g, budget=cutset_budget)
+            res = find_harmonious_cutset(g)
             found["harmonious_status"] = res.status
             found["harmonious"] = (
                 res.partition.to_json_dict() if res.partition else None
@@ -136,24 +169,18 @@ def analyze_graph(
 # ---------------------------------------------------------------------------
 
 
-def class_record(g: Graph, chi_cap: int = CHI_CAP) -> dict:
+def class_record(g: Graph) -> dict:
     """The per-graph facts the theorem checks consume.  Work stops at the
     first disqualifier: a graph with an odd hole is outside every
-    hypothesis, so nothing further is computed for it."""
-    rec: dict = {
+    hypothesis, so nothing further is computed for it, and one whose odd-hole
+    search ran out of budget is inconclusive under every theorem."""
+    facts, _ = class_facts(g, stop_early=True)
+    return {
         "graph6": to_graph6(g).decode("ascii"),
         "n": g.n,
         "connected": g.is_connected(),
-        "odd_hole_free": find_odd_hole(g) is None,
+        **facts,
     }
-    if not rec["odd_hole_free"]:
-        return rec
-    rec["full_house_free"] = find_full_house(g) is None
-    omega, _ = clique_number(g)
-    rec["omega"] = omega
-    rec["chi"] = chromatic_number_exact(g).chi if g.n <= chi_cap else None
-    rec["has_c7_complement"] = has_c7_complement(g)
-    return rec
 
 
 def record_outcome(rec: dict, theorem: str) -> str:
@@ -161,6 +188,8 @@ def record_outcome(rec: dict, theorem: str) -> str:
     met), "pass", "violation", or "inconclusive"."""
     if theorem == "t2.3":
         raise ValueError("t2.3 needs the graph; use evaluate_theorem")
+    if rec["odd_hole_free"] is None:
+        return "inconclusive"
     if not rec["odd_hole_free"]:
         return "filtered"
     omega, chi = rec["omega"], rec["chi"]
@@ -197,7 +226,11 @@ def dichotomy_outcome(g: Graph, rec: dict, budget: int) -> str:
     of the two structured classes.  The no-cutset hypothesis is certified by
     exhaustive search only for n <= 12; larger graphs come back
     inconclusive unless an actual cutset filters them out."""
-    if not rec["connected"] or not rec["odd_hole_free"]:
+    if not rec["connected"]:
+        return "filtered"
+    if rec["odd_hole_free"] is None:
+        return "inconclusive"
+    if not rec["odd_hole_free"]:
         return "filtered"
     if not rec.get("full_house_free") or not rec.get("has_c7_complement"):
         return "filtered"
@@ -253,10 +286,6 @@ def verdict_from_records(
     }
 
 
-def _record_worker(text: str) -> dict:
-    return class_record(from_graph6(text))
-
-
 def evaluate_theorem(
     graphs: Sequence[Graph],
     theorem: str,
@@ -267,12 +296,7 @@ def evaluate_theorem(
 ) -> dict:
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem {theorem!r}")
-    if workers > 1 and theorem != "t2.3":
-        lines = [to_graph6(g).decode("ascii") for g in graphs]
-        with Pool(workers) as pool:
-            records = list(pool.imap(_record_worker, lines, chunksize=64))
-    else:
-        records = [class_record(g) for g in graphs]
+    records = list(_ordered_map(class_record, graphs, workers))
     return verdict_from_records(
         records, theorem, graphs=graphs, budget=budget, seed=seed
     )
@@ -305,17 +329,22 @@ def _parse_debug_line(text: str) -> Graph:
 
 def _iter_input_graphs(
     stream, fmt: str
-) -> Iterator[tuple[int, str, Graph | None, str | None]]:
-    """Yields (line_number, text, graph or None, error or None)."""
+) -> Iterator[tuple[int, Graph | None, str | None]]:
+    """The one reader of graph input.  Yields (line_number, graph or None,
+    error or None) per nonblank line; blank lines still count."""
     for line_number, raw in enumerate(stream, start=1):
         text = raw.strip()
         if not text:
             continue
         try:
             g = _parse_debug_line(text) if fmt == "adjlist" else from_graph6(text)
-            yield line_number, text, g, None
+            yield line_number, g, None
         except (Graph6Error, ValueError) as exc:
-            yield line_number, text, None, str(exc)
+            yield line_number, None, str(exc)
+
+
+def _error_record(line_number: int, error: str) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "line": line_number, "error": error}
 
 
 # ---------------------------------------------------------------------------
@@ -323,49 +352,30 @@ def _iter_input_graphs(
 # ---------------------------------------------------------------------------
 
 
-def _analyze_worker(args: tuple[str, bool, bool]) -> str:
-    text, structures, with_timings = args
-    report = analyze_graph(
-        from_graph6(text), structures=structures, with_timings=with_timings
-    )
-    return _dump(report)
+def _analyze_line(
+    parsed: tuple[int, Graph | None, str | None], structures: bool, with_timings: bool
+) -> dict:
+    line_number, g, error = parsed
+    if error is not None:
+        return _error_record(line_number, error)
+    return analyze_graph(g, structures=structures, with_timings=with_timings)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """One record per input line, each written before the next line is read
+    (with --workers above 1, the pool reads ahead)."""
+    analyze = functools.partial(
+        _analyze_line, structures=args.structures, with_timings=not args.no_timings
+    )
     had_error = False
-    tasks: list[tuple[int, str] | tuple[int, dict]] = []
     with _open_input(args.input) as stream:
-        for line_number, text, g, error in _iter_input_graphs(stream, args.format):
-            if error is not None:
-                record = {
-                    "schema_version": SCHEMA_VERSION,
-                    "line": line_number,
-                    "error": error,
-                }
+        parsed = _iter_input_graphs(stream, args.format)
+        for record in _ordered_map(analyze, parsed, args.workers):
+            print(_dump(record))
+            if "error" in record:
                 if args.strict:
-                    print(_dump(record))
                     return 3
                 had_error = True
-                tasks.append((line_number, record))
-                continue
-            tasks.append((line_number, to_graph6(g).decode("ascii")))
-
-    if args.workers > 1:
-        payload = [
-            (item, args.structures, not args.no_timings)
-            for _, item in tasks
-            if isinstance(item, str)
-        ]
-        with Pool(args.workers) as pool:
-            results = iter(pool.map(_analyze_worker, payload, chunksize=8))
-        for _, item in tasks:
-            print(_dump(item) if isinstance(item, dict) else next(results))
-    else:
-        for _, item in tasks:
-            if isinstance(item, dict):
-                print(_dump(item))
-            else:
-                print(_analyze_worker((item, args.structures, not args.no_timings)))
     return 3 if had_error else 0
 
 
@@ -378,7 +388,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.input is not None:
         graphs = []
         with _open_input(args.input) as stream:
-            for line_number, _, g, error in _iter_input_graphs(stream, "graph6"):
+            for line_number, g, error in _iter_input_graphs(stream, "graph6"):
                 if error is not None:
                     print(f"line {line_number}: {error}", file=sys.stderr)
                     return 3
@@ -470,17 +480,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     had_error = False
     any_inconclusive = False
     with _open_input(args.input) as stream:
-        for line_number, _, g, error in _iter_input_graphs(stream, "graph6"):
+        for line_number, g, error in _iter_input_graphs(stream, "graph6"):
             if error is not None:
-                print(
-                    _dump(
-                        {
-                            "schema_version": SCHEMA_VERSION,
-                            "line": line_number,
-                            "error": error,
-                        }
-                    )
-                )
+                print(_dump(_error_record(line_number, error)))
                 had_error = True
                 continue
             try:
@@ -491,16 +493,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                     candidates=args.candidates,
                 )
             except ValueError as exc:
-                print(
-                    _dump(
-                        {
-                            "schema_version": SCHEMA_VERSION,
-                            "line": line_number,
-                            "graph6": to_graph6(g).decode("ascii"),
-                            "error": str(exc),
-                        }
-                    )
-                )
+                record = _error_record(line_number, str(exc))
+                record["graph6"] = to_graph6(g).decode("ascii")
+                print(_dump(record))
                 had_error = True
                 continue
             if res.status == "inconclusive":
@@ -529,6 +524,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+WORKERS_HELP = "worker processes (default: $HEPTALAB_WORKERS, else 1)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heptalab",
@@ -542,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="stop at the first parse error")
     p.add_argument("--structures", action="store_true", help="search for witnesses")
     p.add_argument("--no-timings", action="store_true")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", metavar="K", help=WORKERS_HELP)
     p.add_argument(
         "--format",
         choices=("graph6", "adjlist"),
@@ -556,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True, choices=sorted(THEOREM_IDS))
     p.add_argument("--enumerate", type=int, metavar="N", help="all graphs up to N vertices")
     p.add_argument("--budget", type=int, default=DEFAULT_PARITY_BUDGET)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", metavar="K", help=WORKERS_HELP)
     p.add_argument("--seed", type=int, default=None, help="recorded in the verdict")
     p.add_argument("--no-timings", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -586,6 +584,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if "workers" in vars(args):
+        try:
+            args.workers = _worker_count(args.workers)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 3
     return args.func(args)
 
 

@@ -3,14 +3,13 @@
 The searches here are exact.  ``find_odd_hole`` walks induced paths with
 bitmask pruning and returns a shortest induced odd cycle of length at least
 five; ``find_full_house`` enumerates 4-cliques and scans for the attached
-fifth vertex.  Both have deliberately simple exhaustive counterparts used as
-cross-check oracles in the test suite.
+fifth vertex.  Their deliberately simple exhaustive counterparts, used as
+cross-check oracles, live in the test suite (``tests/naive.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graph import Graph, induced_subgraph, iter_bits, mask_of
 
@@ -96,47 +95,12 @@ def find_odd_hole(g: Graph, budget: int | None = None) -> PatternHit | None:
     return PatternHit("odd_hole", best, len(best))
 
 
-def odd_hole_naive(g: Graph) -> PatternHit | None:
-    """Exhaustive cross-check: scan all odd vertex subsets for induced cycles.
-
-    Returns a hit on a smallest odd hole.  Only sensible for small n.
-    """
-    for size in range(5, g.n + 1, 2):
-        for combo in combinations(range(g.n), size):
-            if _induces_cycle(g, combo):
-                return PatternHit("odd_hole", combo, size)
-    return None
-
-
-def _induces_cycle(g: Graph, vs: tuple[int, ...]) -> bool:
-    sel = mask_of(vs)
-    for v in vs:
-        if (g.rows[v] & sel).bit_count() != 2:
-            return False
-    # degrees all 2: a cycle iff connected
-    start = vs[0]
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= g.rows[u]
-        frontier = nxt & sel & ~seen
-        seen |= frontier
-    return seen == sel
-
-
-def find_full_house(g: Graph, all_subsets: bool = False) -> PatternHit | None:
+def find_full_house(g: Graph) -> PatternHit | None:
     """Find five vertices inducing a K4 with a pendant vertex on one edge.
 
-    The default route enumerates 4-cliques and scans fifth vertices with
-    exactly two neighbors inside.  ``all_subsets=True`` switches to a direct
-    scan of every 5-subset (allowed up to n = 12) for cross-checking.
+    Enumerates 4-cliques and scans fifth vertices with exactly two neighbors
+    inside.
     """
-    if all_subsets:
-        if g.n > MAX_PERFECTION_SIZE:
-            raise ValueError("all-subsets mode supports at most 12 vertices")
-        return full_house_naive(g)
     rows = g.rows
     for a in range(g.n):
         above_a = ~((1 << (a + 1)) - 1)
@@ -153,21 +117,6 @@ def find_full_house(g: Graph, all_subsets: bool = False) -> PatternHit | None:
                             return PatternHit(
                                 "full_house", tuple(sorted((a, b, c, d, v)))
                             )
-    return None
-
-
-def full_house_naive(g: Graph) -> PatternHit | None:
-    """Scan every 5-subset for the full-house shape.
-
-    Five vertices with eight induced edges and degree multiset {2,3,3,4,4}
-    are necessarily a K4 plus a vertex on one edge, so the degree profile is
-    a complete test.
-    """
-    for combo in combinations(range(g.n), 5):
-        sel = mask_of(combo)
-        degs = sorted((g.rows[v] & sel).bit_count() for v in combo)
-        if degs == [2, 3, 3, 4, 4]:
-            return PatternHit("full_house", combo)
     return None
 
 
@@ -355,23 +304,10 @@ def is_perfect_bruteforce(g: Graph) -> bool:
     if g.n > MAX_PERFECTION_SIZE:
         raise ValueError(f"perfection brute force capped at {MAX_PERFECTION_SIZE} vertices")
     for sub_mask in range(1, 1 << g.n):
-        if not _mask_connected(g, sub_mask):
+        if g.component_of(sub_mask & -sub_mask, sub_mask) != sub_mask:
             continue
         sub, _ = induced_subgraph(g, iter_bits(sub_mask))
         omega, _ = clique_number(sub)
         if _chromatic_small(sub) != omega:
             return False
     return True
-
-
-def _mask_connected(g: Graph, sel: int) -> bool:
-    start = sel & -sel
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= g.rows[u]
-        frontier = nxt & sel & ~seen
-        seen |= frontier
-    return seen == sel

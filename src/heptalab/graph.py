@@ -77,6 +77,11 @@ class Graph:
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # unpickling rebuilds through the constructor, so a graph arriving
+        # in a worker process passes the same symmetry and loop checks
+        return (Graph, (self.n, self.rows))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -174,18 +179,26 @@ class Graph:
                 k += 1
         return mask
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        frontier = 1
+    def component_of(self, seed: int, within: int) -> int:
+        """Bitmask of the vertices reachable from the vertices of ``seed``
+        through the subgraph induced on ``within``; ``seed`` is a bitmask
+        inside ``within``.  This is the one breadth-first search behind every
+        connectivity question asked of a graph."""
+        rows = self.rows
+        seen = frontier = seed
         while frontier:
             nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= self.rows[u]
-            frontier = nxt & ~seen
+            while frontier:
+                low = frontier & -frontier
+                nxt |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & within & ~seen
             seen |= frontier
-        return seen == (1 << self.n) - 1
+        return seen
+
+    def is_connected(self) -> bool:
+        full = (1 << self.n) - 1
+        return self.n <= 1 or self.component_of(1, full) == full
 
     def component_masks(self, within: int | None = None) -> list[int]:
         """Connected components (as bitmasks) of the subgraph induced on
@@ -193,17 +206,9 @@ class Graph:
         remaining = (1 << self.n) - 1 if within is None else within
         comps = []
         while remaining:
-            start = remaining & -remaining
-            seen = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                for u in iter_bits(frontier):
-                    nxt |= self.rows[u]
-                frontier = nxt & remaining & ~seen
-                seen |= frontier
-            comps.append(seen)
-            remaining &= ~seen
+            comp = self.component_of(remaining & -remaining, remaining)
+            comps.append(comp)
+            remaining &= ~comp
         return comps
 
     # -- derived graphs ----------------------------------------------------
@@ -453,26 +458,3 @@ def from_graph6(data: bytes | str) -> Graph:
                 raise Graph6Error("nonzero padding bits", base + used + k)
             pair += 1
     return Graph(n, rows)
-
-
-@dataclass(frozen=True)
-class Graph6Record:
-    """A decoded graph together with its normalized graph6 text."""
-
-    text: str
-    graph: Graph
-    line_number: int | None = None
-
-    @classmethod
-    def parse(cls, line: bytes | str, line_number: int | None = None) -> "Graph6Record":
-        g = from_graph6(line)
-        return cls(to_graph6(g).decode("ascii"), g, line_number)
-
-
-def read_graph6_records(lines: Iterable[bytes | str]) -> Iterator[Graph6Record]:
-    """Parse a stream of graph6 lines, skipping blanks, one record per line."""
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip() if isinstance(line, str) else line.strip()
-        if not stripped:
-            continue
-        yield Graph6Record.parse(stripped, lineno)

@@ -100,18 +100,13 @@ def verify_harmonious(
     g: Graph,
     p: HarmoniousPartition,
     budget: int = DEFAULT_PARITY_BUDGET,
-    *,
-    interior_avoids_cutset: bool = True,
 ) -> HarmonyVerdict:
     """Check the harmonious conditions by exhaustive induced-path search.
 
-    ``interior_avoids_cutset`` keeps path interiors away from the whole
-    cutset (the default reading); switching it off only excludes the parts
-    of the two endpoints, the stricter alternative.
-
-    Returns yes, no with a concrete counterexample, or inconclusive when the
-    step budget is exhausted.  Stability of each part is subsumed by parity:
-    an edge inside a part is an odd same-part path of length one.
+    Path interiors keep away from the whole cutset.  Returns yes, no with a
+    concrete counterexample, or inconclusive when the step budget is
+    exhausted.  Stability of each part is subsumed by parity: an edge inside
+    a part is an odd same-part path of length one.
     """
     _check_shape(g, p)
     steps = 0
@@ -141,13 +136,11 @@ def verify_harmonious(
 
     part_of = p.part_index()
     cut_mask = mask_of(p.cutset)
-
-    def scan(start: int, interior: int, closers: int) -> HarmonyViolation | str | None:
-        """DFS over induced paths from ``start`` with interiors in
-        ``interior``, closing at vertices of ``closers`` above ``start``.
-        Returns a violation, "budget", or None."""
-        nonlocal steps
-        rows = g.rows
+    interior = (1 << g.n) - 1 & ~cut_mask
+    rows = g.rows
+    for start in sorted(p.cutset):
+        # DFS over induced paths from ``start`` with interiors outside the
+        # cutset, closing at cutset vertices above ``start``
         above = ~((1 << (start + 1)) - 1)
         i = part_of[start]
         # stack: (head, path, mid_adj) with mid_adj = neighbors of path minus head
@@ -156,38 +149,18 @@ def verify_harmonious(
             head, path, mid_adj = stack.pop()
             steps += 1
             if steps > budget:
-                return "budget"
+                return HarmonyVerdict("inconclusive", None, steps)
             reach = rows[head] & ~mid_adj
-            for b in iter_bits(reach & closers & above):
+            for b in iter_bits(reach & cut_mask & above):
                 j = part_of[b]
                 length = len(path)  # edges: path vertices + b minus 1
                 if (length % 2 == 0) != (i == j):
-                    return HarmonyViolation("parity", path + (b,), (i, j))
+                    return HarmonyVerdict(
+                        "no", HarmonyViolation("parity", path + (b,), (i, j)), steps
+                    )
             new_mid = mid_adj | rows[head]
             for w in iter_bits(reach & interior):
                 stack.append((w, path + (w,), new_mid))
-        return None
-
-    order = sorted(p.cutset)
-    if interior_avoids_cutset:
-        interior = (1 << g.n) - 1 & ~cut_mask
-        for a in order:
-            res = scan(a, interior, cut_mask)
-            if res == "budget":
-                return HarmonyVerdict("inconclusive", None, steps)
-            if res is not None:
-                return HarmonyVerdict("no", res, steps)
-    else:
-        full = (1 << g.n) - 1
-        for i in range(k):
-            for j in range(i, k):
-                interior = full & ~part_masks[i] & ~part_masks[j]
-                for a in sorted(p.parts[i]):
-                    res = scan(a, interior, part_masks[j])
-                    if res == "budget":
-                        return HarmonyVerdict("inconclusive", None, steps)
-                    if res is not None:
-                        return HarmonyVerdict("no", res, steps)
     return HarmonyVerdict("yes", None, steps)
 
 
@@ -214,7 +187,7 @@ def minimal_separators(g: Graph) -> list[frozenset[int]]:
     seen: set[int] = set()
     out: list[frozenset[int]] = []
     for sub in range(1, full + 1):
-        if not _connected_mask(g, sub):
+        if g.component_of(sub & -sub, sub) != sub:
             continue
         nb = 0
         for u in iter_bits(sub):
@@ -237,19 +210,6 @@ def minimal_separators(g: Graph) -> list[frozenset[int]]:
             out.append(frozenset(iter_bits(sep)))
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
-
-
-def _connected_mask(g: Graph, sel: int) -> bool:
-    start = sel & -sel
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for u in iter_bits(frontier):
-            nxt |= g.rows[u]
-        frontier = nxt & sel & ~seen
-        seen |= frontier
-    return seen == sel
 
 
 def _candidate_cutsets(g: Graph, strategy: str, max_cutset: int) -> Iterator[frozenset[int]]:
@@ -418,14 +378,7 @@ def merge_colorings(
             aligned_before = sum(1 for v in cut if colors[v] == part_of[v])
             # two-color component of `bad` within this side's graph
             block = mask_of(v for v in visible if colors[v] in (want, have))
-            comp = 1 << bad
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for u in iter_bits(frontier):
-                    nxt |= g.rows[u]
-                frontier = nxt & block & ~comp
-                comp |= frontier
+            comp = g.component_of(1 << bad, block)
             for v in iter_bits(comp):
                 colors[v] = want if colors[v] == have else have
             aligned_after = sum(1 for v in cut if colors[v] == part_of[v])

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import heptalab
-from heptalab.cli import main
+from heptalab import cli
+from heptalab.cli import analyze_graph, class_record, main
 from heptalab.corpus import all_graphs_up_to
 from heptalab.detect import c7_complement
 from heptalab.graph import Graph, from_graph6, to_graph6
@@ -111,6 +112,28 @@ class TestAnalyze:
         recs = json_lines(out)
         assert len(recs) == 1 and "error" in recs[0]
 
+    def test_bad_mid_file_line_with_strict(self, capsys, tmp_path):
+        # the reports of the lines before the bad one are written; nothing
+        # after it is
+        path = tmp_path / "in.g6"
+        path.write_text("Bw\nDhc\n\x07bad\n" + C7BAR_G6 + "\n")
+        code, out, _ = run_cli(
+            capsys, ["analyze", str(path), "--strict", "--no-timings"]
+        )
+        assert code == 3
+        recs = json_lines(out)
+        assert [rec.get("graph6") for rec in recs[:2]] == ["Bw", "Dhc"]
+        assert len(recs) == 3 and recs[2]["line"] == 3 and "error" in recs[2]
+
+    def test_blank_lines_skipped_but_counted(self, capsys, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_text("Bw\n\nDhc\n\n\x07bad\n")
+        code, out, _ = run_cli(capsys, ["analyze", str(path), "--no-timings"])
+        assert code == 3
+        recs = json_lines(out)
+        assert [rec.get("graph6") for rec in recs[:2]] == ["Bw", C5_G6]
+        assert len(recs) == 3 and recs[2]["line"] == 5
+
     def test_stdin_input(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys,
@@ -168,6 +191,60 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, ["analyze", str(path), "--no-timings"])
         (rec,) = json_lines(out)
         assert code == 0 and rec["graph6"] == C5_G6
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_bad_workers_flag_rejected(self, capsys, tmp_path, value):
+        path = tmp_path / "in.g6"
+        path.write_text(C5_G6 + "\n")
+        code, out, err = run_cli(
+            capsys, ["analyze", str(path), f"--workers={value}", "--no-timings"]
+        )
+        assert code == 3 and out == ""
+        assert "--workers" in err and repr(value) in err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two", ""])
+    def test_bad_workers_env_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HEPTALAB_WORKERS", value)
+        code, out, err = run_cli(
+            capsys, ["verify", "--theorem", "t1.3", "--enumerate", "3"]
+        )
+        assert code == 3 and out == ""
+        assert "HEPTALAB_WORKERS" in err and repr(value) in err
+
+
+class TestOnePipeline:
+    def test_analyze_and_verify_agree(self):
+        # every graph on at most 6 vertices: the analyze report states the
+        # same facts as the verify record, wherever the record has them
+        for g in all_graphs_up_to(6):
+            report = analyze_graph(g, with_timings=False)
+            rec = class_record(g)
+            assert report["graph6"] == rec["graph6"] and report["n"] == rec["n"]
+            facts = dict(report["flags"], omega=report["omega"], chi=report["chi"])
+            del facts["k4_free"]
+            if rec["odd_hole_free"]:
+                assert set(rec) == set(facts) | {"graph6", "n", "connected"}
+            for key, value in facts.items():
+                if key in rec:
+                    assert rec[key] == value, (rec["graph6"], key)
+
+    def test_exhausted_odd_hole_budget_is_inconclusive(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "DETECTOR_BUDGET", 1)
+        path = tmp_path / "in.g6"
+        path.write_text(C7BAR_G6 + "\n")
+        code, out, _ = run_cli(capsys, ["analyze", str(path), "--no-timings"])
+        (rec,) = json_lines(out)
+        assert code == 0
+        assert rec["flags"]["odd_hole_free"] is None
+        assert rec["notes"] == ["odd hole search hit its budget"]
+        code, out, _ = run_cli(
+            capsys, ["verify", str(path), "--theorem", "t1.4-bound", "--no-timings"]
+        )
+        (v,) = json_lines(out)
+        assert code == 2
+        assert v["population"] == 1 and v["inconclusive"] == 1
 
 
 class TestVerify:

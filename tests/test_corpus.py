@@ -11,7 +11,7 @@ from heptalab.corpus import (
     random_graphs,
     write_graph6_file,
 )
-from heptalab.graph import Graph, from_graph6, read_graph6_records, to_graph6
+from heptalab.graph import Graph, from_graph6, to_graph6
 
 from .naive import isomorphic, to_networkx
 
@@ -135,6 +135,6 @@ class TestFileOutput:
         path = tmp_path / "sample.g6"
         write_graph6_file(path, graphs)
         with open(path, "rb") as fh:
-            records = list(read_graph6_records(fh))
-        assert [r.graph for r in records] == graphs
-        assert [r.line_number for r in records] == list(range(1, 13))
+            lines = fh.read().split(b"\n")
+        assert lines[-1] == b"" and len(lines) == 13
+        assert [from_graph6(line) for line in lines[:-1]] == graphs

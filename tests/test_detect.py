@@ -13,7 +13,6 @@ from heptalab.detect import (
     full_house_graph,
     has_c7_complement,
     is_perfect_bruteforce,
-    odd_hole_naive,
     verify_hit,
 )
 from heptalab.graph import Graph, induced_subgraph, is_clique
@@ -68,10 +67,10 @@ class TestOddHole:
         for _ in range(500):
             n = rng.randint(5, 8)
             g = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
-            fast, slow = find_odd_hole(g), odd_hole_naive(g)
-            assert (fast is None) == (slow is None)
+            fast, slow = find_odd_hole(g), odd_holes_by_isomorphism(g)
+            assert (fast is None) == (not slow)
             if fast is not None:
-                assert fast.length == slow.length
+                assert fast.length == min(len(hole) for hole in slow)
                 assert verify_hit(g, fast)
 
     def test_budget_exhaustion(self):
@@ -85,7 +84,7 @@ class TestFullHouse:
         g = full_house_graph()
         hit = find_full_house(g)
         assert hit is not None and verify_hit(g, hit)
-        assert find_full_house(g, all_subsets=True) is not None
+        assert full_houses_by_degree(g) == [(0, 1, 2, 3, 4)]
 
     def test_k4_and_k5(self):
         assert find_full_house(Graph.complete(4)) is None
@@ -101,10 +100,6 @@ class TestFullHouse:
             assert (fast is None) == (len(slow) == 0)
             if fast is not None:
                 assert verify_hit(g, fast)
-
-    def test_subset_mode_cap(self):
-        with pytest.raises(ValueError):
-            find_full_house(Graph.empty(13), all_subsets=True)
 
 
 class TestInducedPattern:

@@ -1,4 +1,4 @@
-import io
+import pickle
 import random
 
 import networkx as nx
@@ -14,7 +14,6 @@ from heptalab.graph import (
     induced_subgraph,
     is_clique,
     is_stable_set,
-    read_graph6_records,
     relation,
     to_graph6,
 )
@@ -134,13 +133,38 @@ class TestCodecErrors:
             from_graph6("Bwé")
 
 
-class TestRecords:
-    def test_stream_reading(self):
-        stream = io.StringIO("Bw\n\nDhc\n")
-        recs = list(read_graph6_records(stream))
-        assert [r.text for r in recs] == ["Bw", "Dhc"]
-        assert [r.line_number for r in recs] == [1, 3]
-        assert recs[1].graph == Graph.cycle(5)
+class TestConnectivity:
+    def test_matches_networkx_on_random_masks(self):
+        rng = random.Random(41)
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n)
+            h = to_networkx(g)
+            assert g.is_connected() == nx.is_connected(h)
+            mask = rng.randrange(1, 1 << n)
+            sub = h.subgraph([v for v in range(n) if mask >> v & 1])
+            assert (g.component_of(mask & -mask, mask) == mask) == nx.is_connected(sub)
+            expected = sorted(
+                (sum(1 << v for v in comp) for comp in nx.connected_components(sub)),
+                key=lambda comp: comp & -comp,
+            )
+            assert g.component_masks(mask) == expected
+
+
+class TestPickle:
+    def test_round_trip(self):
+        rng = random.Random(5)
+        for n in range(0, 12):
+            g = random_graph(rng, n)
+            assert pickle.loads(pickle.dumps(g)) == g
+
+    def test_unpickling_runs_the_constructor_checks(self):
+        data = pickle.dumps(Graph.path(3), protocol=4)
+        # row 1 of the path 0-1-2 is 0b101; make it 0b100 so 0 sees 1 but
+        # not the other way round
+        assert data.count(b"K\x05") == 1
+        with pytest.raises(ValueError, match="not symmetric"):
+            pickle.loads(data.replace(b"K\x05", b"K\x04"))
 
 
 class TestComplement:
