@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import multiprocessing
 import os
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .coloring import chromatic_number_exact
-from .corpus import all_graphs_up_to
+from .corpus import MAX_ENUMERATION_N, all_graphs_up_to
 from .detect import (
     SearchBudgetExceeded,
     clique_number,
@@ -308,9 +309,15 @@ def evaluate_theorem(
 
 
 def _open_input(path: str):
-    if path == "-":
-        return sys.stdin
-    return open(path, "r", encoding="ascii")
+    """Input lines as text.  Files and stdin are both read as ASCII with
+    every other byte kept as a lone surrogate, whatever the locale, so a
+    non-ASCII byte becomes an error on its own line (``from_graph6`` reports
+    it as a ``Graph6Error``) instead of a decoding failure of the stream."""
+    if path != "-":
+        return open(path, "r", encoding="ascii", errors="surrogateescape")
+    if not hasattr(sys.stdin, "buffer"):
+        return sys.stdin  # already a text stream with no bytes below it
+    return io.TextIOWrapper(sys.stdin.buffer, encoding="ascii", errors="surrogateescape")
 
 
 def _parse_debug_line(text: str) -> Graph:
@@ -381,8 +388,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.enumerate is not None:
-        if args.enumerate > 8:
-            print("--enumerate supports at most n = 8", file=sys.stderr)
+        if not 0 <= args.enumerate <= MAX_ENUMERATION_N:
+            print(
+                f"--enumerate N must be at least 0 and at most {MAX_ENUMERATION_N}, "
+                f"got {args.enumerate}",
+                file=sys.stderr,
+            )
             return 3
         graphs = all_graphs_up_to(args.enumerate)
     elif args.input is not None:

@@ -3,9 +3,11 @@ labeling, and seeded random samples.
 
 Canonical form is the labeling whose graph6 bit string is lexicographically
 minimal, found by placing vertices one position at a time with prefix
-pruning.  Exhaustive enumeration extends each (n-1)-vertex representative by
-one vertex with every possible neighbor mask and dedups on the canonical
-encoding; this is intended for n <= 8.
+pruning.  Exhaustive enumeration is orderly generation: each canonical
+(n-1)-vertex graph is extended by one vertex with every possible neighbor
+mask, and an extension is kept exactly when it is itself canonical, a test
+that stops at the first smaller labeling.  Every class is made once, with no
+dedupe; this is intended for n <= 8.
 """
 
 from __future__ import annotations
@@ -19,55 +21,100 @@ from .graph import Graph, to_graph6
 MAX_ENUMERATION_N = 8
 
 
-def canonical_relabel(g: Graph) -> Graph:
-    """Isomorph of g whose graph6 encoding is lexicographically minimal.
+def _column(row: int, k: int) -> int:
+    """Column k of a graph6 string: the adjacency of a vertex with neighbor
+    mask ``row`` to vertices 0..k-1, vertex 0 in the most significant bit."""
+    col = 0
+    for i in range(k):
+        col = (col << 1) | (row >> i & 1)
+    return col
 
-    Vertices are placed one position at a time.  At each node only the
-    placements whose next column of upper-triangle bits is minimal among the
-    remaining vertices are explored (a larger column loses against any
-    completion of a smaller one), and whole accumulated prefixes are compared
-    against the best full string found so far.
+
+def _columns(rows: Sequence[int]) -> list[int]:
+    """The graph6 string of ``rows`` as given, one int per column."""
+    return [_column(row, k) for k, row in enumerate(rows)]
+
+
+def _labeling_below(rows: Sequence[int], bound: list[int], first: bool) -> list[int] | None:
+    """The one placement search behind canonical labeling.
+
+    Looks for a labeling of ``rows`` whose graph6 string, column by column,
+    is lexicographically below ``bound`` (``_columns`` of ``rows``).  Returns
+    its placement order (``order[pos]`` is the vertex placed at position
+    ``pos``, the argument ``Graph.relabel`` expects), or None when there is
+    none, that is when ``rows`` is canonical.  With ``first`` it returns at
+    the first smaller labeling it meets; otherwise it returns the least one,
+    lowering ``bound`` to its columns.
+
+    The graph6 string is column-major, so placing vertices one position at a
+    time fixes it one column at a time.  An unplaced vertex's column is its
+    adjacency to the placed ones, an int with the first placed vertex in the
+    most significant bit; vertices of equal column form a cell, and the
+    cells are kept as (vertex mask, column) pairs in increasing column
+    order.  Placing u splits each cell into the non-neighbors and the
+    neighbors of u, appending one bit to the column, which keeps the order.
+    Only the first cell, the least column, is ever placed next (a larger
+    column loses against any completion of a smaller one), and its column is
+    compared with the same column of the bound.  Of two twins (equal
+    neighborhoods apart from each other) only the lower is tried: swapping
+    them is an automorphism that fixes everything placed.
     """
-    n = g.n
-    if n <= 1 or g.edge_count in (0, n * (n - 1) // 2):
-        return g
-    rows = g.rows
-    hint = sorted(range(n), key=lambda v: (g.degree(v), v))
-    best: list[int] | None = None
-    best_perm: tuple[int, ...] | None = None
+    n = len(rows)
+    above_all = 1 << n  # above every column: any placement beats it
+    placed: list[int] = []
+    found: list[int] | None = None
 
-    def rec(placed: list[int], placed_mask: int, bits: list[int]) -> None:
-        nonlocal best, best_perm
-        if len(placed) == n:
-            if best is None or bits < best:
-                best = bits
-                best_perm = tuple(placed)
-            return
-        ties: list[tuple[int, list[int]]] = []
-        low: list[int] | None = None
-        for v in hint:
-            if placed_mask & (1 << v):
+    def rec(k: int, cells: list[tuple[int, int]]) -> bool:
+        nonlocal found
+        if k == n:
+            if found is not None:
+                found = placed[:]
+            return False
+        ties, low = cells[0]
+        if low > bound[k]:
+            return False
+        if low < bound[k]:
+            if first:
+                found = placed + [v for m, _ in cells for v in range(n) if m >> v & 1]
+                return True
+            bound[k] = low
+            bound[k + 1 :] = [above_all] * (n - k - 1)
+            found = []  # the next leaf reached is the new least labeling
+        rest = ties
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            row = rows[u]
+            below = ties & (bit - 1)
+            while below:
+                w = below & -below
+                if not (rows[w.bit_length() - 1] ^ row) & ~(w | bit):
+                    break  # a twin of a sibling already considered
+                below ^= w
+            if below:
                 continue
-            row = rows[v]
-            col = [1 if row & (1 << u) else 0 for u in placed]
-            if low is None or col < low:
-                low = col
-                ties = [(v, col)]
-            elif col == low:
-                ties.append((v, col))
-        prefix = bits + low
-        if best is not None and prefix > best[: len(prefix)]:
-            return
-        for v, col in ties:
-            placed.append(v)
-            rec(placed, placed_mask | (1 << v), bits + col)
+            child = []
+            for m, c in cells:
+                m &= ~bit
+                if m & ~row:
+                    child.append((m & ~row, c << 1))
+                if m & row:
+                    child.append((m & row, c << 1 | 1))
+            placed.append(u)
+            if rec(k + 1, child):
+                return True
             placed.pop()
+        return False
 
-    rec([], 0, [])
-    assert best_perm is not None
-    # best_perm[pos] = original vertex placed at that position, which is
-    # exactly the argument order relabel expects
-    return g.relabel(list(best_perm))
+    rec(0, [((1 << n) - 1, 0)])
+    return found
+
+
+def canonical_relabel(g: Graph) -> Graph:
+    """Isomorph of g whose graph6 encoding is lexicographically minimal."""
+    order = _labeling_below(g.rows, _columns(g.rows), first=False)
+    return g if order is None else g.relabel(order)
 
 
 def canonical_graph6(g: Graph) -> str:
@@ -77,17 +124,36 @@ def canonical_graph6(g: Graph) -> str:
 @lru_cache(maxsize=None)
 def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on n vertices up to isomorphism, in canonical form,
-    ordered by canonical graph6 string."""
+    ordered by canonical graph6 string.
+
+    Orderly generation (Read, 1978): the graph6 string of a graph is that of
+    the graph minus its last vertex followed by the last vertex's column, so
+    deleting the last vertex of a canonical graph leaves a canonical graph.
+    Each class is therefore made exactly once, as the one canonical
+    one-vertex extension of one canonical (n-1)-vertex graph.
+
+    Before the full test, an extension is dropped when moving the new vertex
+    to some position j < n-1 already gives a smaller column j: the columns
+    before j stay the parent's, and the new one is the top j bits of the new
+    vertex's column."""
     if not 0 <= n <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration supported for 0 <= n <= {MAX_ENUMERATION_N}")
     if n == 0:
         return (Graph.empty(0),)
-    seen: dict[str, Graph] = {}
-    for base in nonisomorphic_graphs(n - 1):
-        for neighbor_mask in range(1 << (n - 1)):
-            cand = canonical_relabel(base.with_vertex(neighbor_mask))
-            seen.setdefault(to_graph6(cand).decode("ascii"), cand)
-    return tuple(seen[key] for key in sorted(seen))
+    new = n - 1
+    last_column = [_column(mask, new) for mask in range(1 << new)]
+    out = []
+    for parent in nonisomorphic_graphs(new):
+        parent_columns = _columns(parent.rows)
+        for mask in range(1 << new):
+            col = last_column[mask]
+            if any(col >> (new - j) < parent_columns[j] for j in range(1, new)):
+                continue
+            rows = [r | (mask >> u & 1) << new for u, r in enumerate(parent.rows)]
+            rows.append(mask)
+            if _labeling_below(rows, parent_columns + [col], first=True) is None:
+                out.append(Graph(n, rows))
+    return tuple(sorted(out, key=to_graph6))
 
 
 def all_graphs_up_to(n_max: int) -> list[Graph]:

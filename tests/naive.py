@@ -5,11 +5,12 @@ order, exhaustive subset scans, and networkx round trips.  None of it shares
 code paths with the package under test.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
 
-from heptalab.graph import Graph
+from heptalab.graph import Graph, to_graph6
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -148,3 +149,63 @@ def clique_number_subsets(g: Graph) -> int:
         else:
             break
     return best
+
+
+def canonical_by_placement(g: Graph) -> Graph:
+    """Isomorph of g with the lexicographically least graph6 string, by a
+    placement search over per-bit column lists.
+
+    Vertices are placed one position at a time.  At each node only the
+    placements whose next column of upper-triangle bits is minimal among the
+    remaining vertices are explored, and whole accumulated prefixes are
+    compared against the best full string found so far.
+    """
+    n = g.n
+    if n <= 1 or g.edge_count in (0, n * (n - 1) // 2):
+        return g
+    rows = g.rows
+    hint = sorted(range(n), key=lambda v: (g.degree(v), v))
+    best: list[int] | None = None
+    best_perm: list[int] = []
+
+    def rec(placed: list[int], placed_mask: int, bits: list[int]) -> None:
+        nonlocal best, best_perm
+        if len(placed) == n:
+            if best is None or bits < best:
+                best, best_perm = bits, placed[:]
+            return
+        ties: list[tuple[int, list[int]]] = []
+        low: list[int] | None = None
+        for v in hint:
+            if placed_mask & (1 << v):
+                continue
+            col = [1 if rows[v] & (1 << u) else 0 for u in placed]
+            if low is None or col < low:
+                low, ties = col, [(v, col)]
+            elif col == low:
+                ties.append((v, col))
+        prefix = bits + low
+        if best is not None and prefix > best[: len(prefix)]:
+            return
+        for v, col in ties:
+            placed.append(v)
+            rec(placed, placed_mask | (1 << v), bits + col)
+            placed.pop()
+
+    rec([], 0, [])
+    return g.relabel(best_perm)
+
+
+@lru_cache(maxsize=None)
+def nonisomorphic_by_dedupe(n: int) -> tuple[Graph, ...]:
+    """Graphs on n vertices up to isomorphism: every one-vertex extension of
+    every (n-1)-vertex representative, canonicalized by
+    ``canonical_by_placement``, deduped on graph6 and sorted by it."""
+    if n == 0:
+        return (Graph.empty(0),)
+    seen: dict[bytes, Graph] = {}
+    for base in nonisomorphic_by_dedupe(n - 1):
+        for neighbor_mask in range(1 << (n - 1)):
+            cand = canonical_by_placement(base.with_vertex(neighbor_mask))
+            seen.setdefault(to_graph6(cand), cand)
+    return tuple(seen[key] for key in sorted(seen))

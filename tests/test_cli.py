@@ -10,7 +10,7 @@ import pytest
 import heptalab
 from heptalab import cli
 from heptalab.cli import analyze_graph, class_record, main
-from heptalab.corpus import all_graphs_up_to
+from heptalab.corpus import MAX_ENUMERATION_N, all_graphs_up_to
 from heptalab.detect import c7_complement
 from heptalab.graph import Graph, from_graph6, to_graph6
 from heptalab.harmonious import HarmoniousPartition, verify_harmonious
@@ -24,6 +24,9 @@ from .naive import (
 C7BAR_G6 = to_graph6(c7_complement()).decode("ascii")
 C5_G6 = to_graph6(Graph.cycle(5)).decode("ascii")
 P4_G6 = to_graph6(Graph.path(4)).decode("ascii")
+# a valid line, a line holding one non-ASCII character (two UTF-8 bytes), and
+# another valid line
+NON_ASCII_FILE = b"Bw\n\xc3\xa9\nDhc\n"
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -111,6 +114,25 @@ class TestAnalyze:
         assert code == 3
         recs = json_lines(out)
         assert len(recs) == 1 and "error" in recs[0]
+
+    def test_non_ascii_byte_in_file(self, capsys, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_bytes(NON_ASCII_FILE)
+        code, out, _ = run_cli(capsys, ["analyze", str(path), "--no-timings"])
+        assert code == 3
+        recs = json_lines(out)
+        assert [r.get("graph6") for r in recs] == ["Bw", None, "Dhc"]
+        assert recs[1]["line"] == 2 and "non-ASCII" in recs[1]["error"]
+
+    def test_non_ascii_byte_on_strict_stdin(self, capsys, monkeypatch):
+        # stdin as a UTF-8 locale gives it, strict about undecodable bytes
+        stdin = io.TextIOWrapper(io.BytesIO(b"Bw\n\xff\nDhc\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, _ = run_cli(capsys, ["analyze", "-", "--no-timings"])
+        assert code == 3
+        recs = json_lines(out)
+        assert [r.get("graph6") for r in recs] == ["Bw", None, "Dhc"]
+        assert recs[1]["line"] == 2 and "non-ASCII" in recs[1]["error"]
 
     def test_bad_mid_file_line_with_strict(self, capsys, tmp_path):
         # the reports of the lines before the bad one are written; nothing
@@ -334,6 +356,30 @@ class TestVerify:
         )
         assert code == 3 and "line 1" in err
 
+    @pytest.mark.parametrize("n", [-1, MAX_ENUMERATION_N + 1])
+    def test_enumerate_out_of_range(self, capsys, n):
+        code, out, err = run_cli(
+            capsys, ["verify", "--theorem", "t1.3", "--enumerate", str(n)]
+        )
+        assert code == 3 and out == ""
+        assert f"at least 0 and at most {MAX_ENUMERATION_N}" in err
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_enumerate_range_ends_accepted(self, capsys, n):
+        code, out, _ = run_cli(
+            capsys,
+            ["verify", "--theorem", "t1.3", "--enumerate", str(n), "--no-timings"],
+        )
+        (v,) = json_lines(out)
+        assert code == 0 and v["total"] == len(all_graphs_up_to(n))
+
+    def test_non_ascii_byte_in_file(self, capsys, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_bytes(NON_ASCII_FILE)
+        code, out, err = run_cli(capsys, ["verify", str(path), "--theorem", "t1.3"])
+        assert code == 3 and out == ""
+        assert "line 2" in err and "non-ASCII" in err
+
     def test_deterministic_output(self, capsys):
         args = ["verify", "--theorem", "t1.4-eq", "--enumerate", "4", "--no-timings"]
         _, first, _ = run_cli(capsys, args)
@@ -441,6 +487,15 @@ class TestDecompose:
         assert code == 2
         (rec,) = json_lines(out)
         assert rec["status"] == "inconclusive"
+
+    def test_non_ascii_byte_in_file(self, capsys, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_bytes(NON_ASCII_FILE)
+        code, out, _ = run_cli(capsys, ["decompose", str(path)])
+        assert code == 3
+        recs = json_lines(out)
+        assert [r.get("graph6") for r in recs] == ["Bw", None, "Dhc"]
+        assert recs[1]["line"] == 2 and "non-ASCII" in recs[1]["error"]
 
     def test_disconnected_rejected(self, capsys, tmp_path):
         path = tmp_path / "in.g6"

@@ -1,9 +1,14 @@
 import random
+from collections import defaultdict
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heptalab.corpus import (
+    _columns,
+    _labeling_below,
     all_graphs_up_to,
     canonical_graph6,
     canonical_relabel,
@@ -13,7 +18,12 @@ from heptalab.corpus import (
 )
 from heptalab.graph import Graph, from_graph6, to_graph6
 
-from .naive import isomorphic, to_networkx
+from .naive import (
+    canonical_by_placement,
+    isomorphic,
+    nonisomorphic_by_dedupe,
+    to_networkx,
+)
 
 # number of graphs on n vertices up to isomorphism (OEIS A000088)
 GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
@@ -49,6 +59,50 @@ class TestEnumeration:
             nonisomorphic_graphs(-1)
         with pytest.raises(ValueError):
             nonisomorphic_graphs(9)
+
+
+def assert_canonicity_test(h):
+    """The early-exit canonicity test that orderly generation runs accepts
+    h exactly when h is its own canonical form, and otherwise returns a
+    labeling with a strictly smaller graph6 string."""
+    canon = canonical_relabel(h)
+    assert canon == canonical_by_placement(h)
+    order = _labeling_below(h.rows, _columns(h.rows), first=True)
+    assert (order is None) == (canon == h)
+    if order is not None:
+        assert to_graph6(h.relabel(order)) < to_graph6(h)
+    assert _labeling_below(canon.rows, _columns(canon.rows), first=True) is None
+
+
+class TestOrderlyGeneration:
+    """Differential checks of orderly generation against canonicalizing
+    every extension and deduping (``naive.nonisomorphic_by_dedupe``)."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_dedupe_oracle(self, n):
+        assert nonisomorphic_graphs(n) == nonisomorphic_by_dedupe(n)
+
+    @pytest.mark.slow
+    def test_matches_dedupe_oracle_n7(self):
+        assert nonisomorphic_graphs(7) == nonisomorphic_by_dedupe(7)
+
+    def test_canonicity_on_every_extension(self):
+        # every one-vertex extension of every graph with at most 5 vertices
+        for g in all_graphs_up_to(5):
+            for neighbor_mask in range(1 << g.n):
+                assert_canonicity_test(g.with_vertex(neighbor_mask))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 2 ** (n * (n - 1) // 2) - 1),
+            st.permutations(range(n)),
+        )
+    ))
+    def test_canonicity_on_relabeled_graphs(self, case):
+        n, edge_mask, perm = case
+        assert_canonicity_test(Graph.from_edge_mask(n, edge_mask).relabel(perm))
 
 
 class TestCanonicalRelabel:
@@ -112,21 +166,38 @@ class TestRandomGraphs:
             random_graphs(1, [-2], seed=0)
 
 
+def assert_matches_atlas(n):
+    """Each networkx atlas graph on n vertices is isomorphic to exactly one
+    enumerated graph, and each enumerated graph to exactly one atlas graph
+    (candidates bucketed by degree sequence)."""
+    atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == n]
+    ours = [to_networkx(g) for g in nonisomorphic_graphs(n)]
+    assert len(atlas) == len(ours) == GRAPH_COUNTS[n]
+    buckets = defaultdict(list)
+    for i, h in enumerate(ours):
+        buckets[tuple(sorted(d for _, d in h.degree()))].append(i)
+    matched = set()
+    for a in atlas:
+        key = tuple(sorted(d for _, d in a.degree()))
+        hits = [i for i in buckets[key] if nx.is_isomorphic(a, ours[i])]
+        assert len(hits) == 1
+        matched.add(hits[0])
+    assert matched == set(range(len(ours)))
+
+
 class TestReferenceCrossCheck:
     def test_n4_matches_networkx_atlas(self):
         # nx.graph_atlas_g() lists all graphs with up to 7 vertices; entries
         # 8..18 are exactly the 11 four-vertex graphs
-        atlas = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 4]
-        assert len(atlas) == 11
-        ours = nonisomorphic_graphs(4)
-        matched = set()
-        for a in atlas:
-            hits = [
-                i for i, g in enumerate(ours) if nx.is_isomorphic(a, to_networkx(g))
-            ]
-            assert len(hits) == 1
-            matched.add(hits[0])
-        assert matched == set(range(11))
+        assert_matches_atlas(4)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6])
+    def test_matches_networkx_atlas(self, n):
+        assert_matches_atlas(n)
+
+    @pytest.mark.slow
+    def test_n7_matches_networkx_atlas(self):
+        assert_matches_atlas(7)
 
 
 class TestFileOutput:
