@@ -20,7 +20,7 @@ import time
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .coloring import chromatic_number_exact
+from .coloring import MAX_EXACT_VERTICES, chromatic_number_exact
 from .corpus import MAX_ENUMERATION_N, all_graphs_up_to
 from .detect import (
     SearchBudgetExceeded,
@@ -40,7 +40,6 @@ from .structures import (
 )
 
 SCHEMA_VERSION = 1
-CHI_CAP = 40
 DETECTOR_BUDGET = 10**8
 EXHAUSTIVE_CUTSET_MAX_N = 12
 # graphs handed to a worker process at a time when --workers is above 1
@@ -95,9 +94,10 @@ def class_facts(g: Graph, *, stop_early: bool) -> tuple[dict, list[str]]:
 
     The facts are ``odd_hole_free`` (None when the search hit
     DETECTOR_BUDGET), ``full_house_free``, ``omega``, ``chi`` (None above
-    CHI_CAP vertices) and ``has_c7_complement``.  With ``stop_early`` the
-    work stops once the graph is not known to be odd-hole-free: every
-    theorem assumes that hypothesis, so nothing further is consumed.
+    MAX_EXACT_VERTICES vertices) and ``has_c7_complement``.  With
+    ``stop_early`` the work stops once the graph is not known to be
+    odd-hole-free: every theorem assumes that hypothesis, so nothing
+    further is consumed.
     """
     notes: list[str] = []
     try:
@@ -110,11 +110,11 @@ def class_facts(g: Graph, *, stop_early: bool) -> tuple[dict, list[str]]:
         return facts, notes
     facts["full_house_free"] = find_full_house(g) is None
     facts["omega"], _ = clique_number(g)
-    if g.n <= CHI_CAP:
+    if g.n <= MAX_EXACT_VERTICES:
         facts["chi"] = chromatic_number_exact(g).chi
     else:
         facts["chi"] = None
-        notes.append(f"chromatic number skipped (n > {CHI_CAP})")
+        notes.append(f"chromatic number skipped (n > {MAX_EXACT_VERTICES})")
     facts["has_c7_complement"] = has_c7_complement(g)
     return facts, notes
 
@@ -322,15 +322,28 @@ def _open_input(path: str):
 
 def _parse_debug_line(text: str) -> Graph:
     """Debug adjacency format: "n;u-v,u-v,..." with an empty edge list
-    allowed ("3;")."""
+    allowed ("3;").  A malformed field raises ValueError naming the field
+    and its character offset in the line."""
+
+    def number(field: str, offset: int, name: str) -> int:
+        try:
+            return int(field)
+        except ValueError:
+            raise ValueError(f"{name} at character {offset} is not an integer") from None
+
     head, _, rest = text.partition(";")
-    n = int(head.strip())
+    n = number(head, 0, "vertex count")
     edges = []
-    rest = rest.strip()
-    if rest:
+    offset = len(head) + 1
+    if rest.strip():
         for chunk in rest.split(","):
-            a, _, b = chunk.partition("-")
-            edges.append((int(a), int(b)))
+            a, dash, b = chunk.partition("-")
+            if not dash:
+                raise ValueError(f"edge at character {offset} has no '-'")
+            u = number(a, offset, "edge endpoint")
+            v = number(b, offset + len(a) + 1, "edge endpoint")
+            edges.append((u, v))
+            offset += len(chunk) + 1
     return Graph.from_edges(n, edges)
 
 

@@ -135,15 +135,15 @@ def _try_k_coloring(g: Graph, k: int, seed_clique: tuple[int, ...]) -> tuple[dic
     return None, nodes
 
 
-def chromatic_number_exact(g: Graph, cap: int = MAX_EXACT_VERTICES) -> ChiResult:
+def chromatic_number_exact(g: Graph) -> ChiResult:
     """Exact chromatic number with a certified optimal coloring.
 
     Ascends k from the clique bound; the answer k is certified because every
     smaller k (down to the clique number, below which no coloring can exist)
     fails an exhaustive search.
     """
-    if g.n > cap:
-        raise ValueError(f"exact coloring capped at {cap} vertices, got {g.n}")
+    if g.n > MAX_EXACT_VERTICES:
+        raise ValueError(f"exact coloring capped at {MAX_EXACT_VERTICES} vertices, got {g.n}")
     if g.n == 0:
         return ChiResult(0, Coloring({}, 0), 0)
     omega, witness = clique_number(g)

@@ -3,7 +3,8 @@
 The searches here are exact.  ``find_odd_hole`` walks induced paths with
 bitmask pruning and returns a shortest induced odd cycle of length at least
 five; ``find_full_house`` enumerates 4-cliques and scans for the attached
-fifth vertex.  Their deliberately simple exhaustive counterparts, used as
+fifth vertex; ``is_perfect`` runs the odd-hole search on the graph and on
+its complement.  Their deliberately simple exhaustive counterparts, used as
 cross-check oracles, live in the test suite (``tests/naive.py``).
 """
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from .graph import Graph, induced_subgraph, iter_bits, mask_of
 
 MAX_PATTERN_SIZE = 12
-MAX_PERFECTION_SIZE = 12
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -261,53 +261,11 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     return len(best), tuple(sorted(best))
 
 
-def _chromatic_small(g: Graph) -> int:
-    """Plain ascending-k backtracking chromatic number for small graphs."""
-    n = g.n
-    if n == 0:
-        return 0
-    if g.edge_count == 0:
-        return 1
-    rows = g.rows
-    colors = [-1] * n
+def is_perfect(g: Graph) -> bool:
+    """True when every induced subgraph has chi == omega.
 
-    def feasible(k: int, idx: int) -> bool:
-        if idx == n:
-            return True
-        for c in range(k):
-            ok = True
-            for v in iter_bits(rows[idx] & ((1 << idx) - 1)):
-                if colors[v] == c:
-                    ok = False
-                    break
-            if ok:
-                colors[idx] = c
-                if feasible(k, idx + 1):
-                    colors[idx] = -1
-                    return True
-                colors[idx] = -1
-        return False
-
-    k = 2
-    while not feasible(k, 0):
-        k += 1
-    return k
-
-
-def is_perfect_bruteforce(g: Graph) -> bool:
-    """Check chi == omega on every connected induced subgraph.
-
-    Restricting to connected subgraphs is enough: both invariants are maxima
-    over components, so any violation survives in some component.  Capped at
-    12 vertices by design.
+    By the strong perfect graph theorem (Chudnovsky, Robertson, Seymour and
+    Thomas, Ann. Math. 164, 2006) that holds exactly when neither ``g`` nor
+    its complement has an odd hole.
     """
-    if g.n > MAX_PERFECTION_SIZE:
-        raise ValueError(f"perfection brute force capped at {MAX_PERFECTION_SIZE} vertices")
-    for sub_mask in range(1, 1 << g.n):
-        if g.component_of(sub_mask & -sub_mask, sub_mask) != sub_mask:
-            continue
-        sub, _ = induced_subgraph(g, iter_bits(sub_mask))
-        omega, _ = clique_number(sub)
-        if _chromatic_small(sub) != omega:
-            return False
-    return True
+    return find_odd_hole(g) is None and find_odd_hole(g.complement()) is None

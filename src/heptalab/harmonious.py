@@ -217,19 +217,14 @@ def _candidate_cutsets(g: Graph, strategy: str, max_cutset: int) -> Iterator[fro
         strategy = "minimal-separators" if g.n <= 16 else "subsets"
     if strategy == "minimal-separators":
         yield from minimal_separators(g)
-    elif strategy == "subsets":
-        for size in range(1, max_cutset + 1):
-            for combo in combinations(range(g.n), size):
-                yield frozenset(combo)
-    elif strategy == "all":
-        # every disconnecting subset, smallest first
-        subsets = []
-        for size in range(1, g.n - 1):
-            subsets.extend(combinations(range(g.n), size))
-        for combo in subsets:
-            yield frozenset(combo)
-    else:
+        return
+    if strategy not in ("subsets", "all"):
         raise ValueError(f"unknown candidate strategy {strategy!r}")
+    # smallest first; "all" reaches every subset that can disconnect g
+    top = g.n - 2 if strategy == "all" else max_cutset
+    for size in range(1, top + 1):
+        for combo in combinations(range(g.n), size):
+            yield frozenset(combo)
 
 
 def _stable_partitions(g: Graph, vertices: list[int], max_parts: int) -> Iterator[tuple[frozenset[int], ...]]:

@@ -13,8 +13,9 @@ The toolkit works with three related part systems:
 
 Rule identifiers are opaque labels; each verifier's docstring states what
 the numbered rules check.  Everything here is pure and deterministic:
-verifiers scan exhaustively, recognizers grow witnesses greedily from a
-seeded embedding with exhaustive fallbacks at small sizes, and generators
+verifiers scan exhaustively, the 11-ring recognizer reads its witness off
+one core embedding, the 7-ring recognizer grows witnesses greedily from a
+seeded embedding with an exhaustive fallback at small sizes, and generators
 build instances part by part.
 """
 
@@ -22,10 +23,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .detect import c7_complement, iter_induced_embeddings
+from .detect import c7_complement, find_induced_embedding, iter_induced_embeddings
 from .graph import Graph, iter_bits, mask_of
 
 
@@ -44,110 +44,92 @@ class StructureVerdict:
     witness: tuple[int, ...] | None = None
 
 
-def _dihedral_maps(m: int) -> list[tuple[int, ...]]:
-    maps = []
-    for a in range(m):
-        maps.append(tuple((j + a) % m for j in range(m)))
-        maps.append(tuple((a - j) % m for j in range(m)))
-    return maps
-
-
-def _min_relabel(
-    parts_groups: tuple[tuple[frozenset[int], ...], ...],
-    maps: Iterable[tuple[int, ...]],
-) -> tuple[tuple[frozenset[int], ...], ...]:
-    """Pick the index relabeling minimizing (size vectors, sorted contents)."""
-
-    def key(groups: tuple[tuple[frozenset[int], ...], ...]):
-        sizes = tuple(tuple(len(p) for p in g) for g in groups)
-        contents = tuple(tuple(tuple(sorted(p)) for p in g) for g in groups)
-        return (sizes, contents)
-
-    best = None
-    for sigma in maps:
-        cand = tuple(tuple(g[sigma[j]] for j in range(len(g))) for g in parts_groups)
-        if best is None or key(cand) < key(best):
-            best = cand
-    assert best is not None
-    return best
+def _dihedral_maps(m: int) -> tuple[tuple[int, ...], ...]:
+    """Each turn j -> j + a of an m-ring, followed by the reflection j -> a - j."""
+    return tuple(tuple((a + s * j) % m for j in range(m)) for a in range(m) for s in (1, -1))
 
 
 @dataclass(frozen=True)
-class T11Witness:
+class _RingWitness:
+    """Shared base of the witnesses: every field is a tuple of vertex sets
+    indexed around a ring.  A subclass declares its fields, the part count
+    of each (``_COUNTS``), the index maps that carry a witness to an
+    equivalent one (``_MAPS``) and its JSON kind (``_KIND``)."""
+
+    def _groups(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        # a frozen dataclass instance holds exactly its fields, in order
+        return tuple(vars(self).values())
+
+    def __post_init__(self) -> None:
+        counts = tuple(map(len, self._groups()))
+        if counts != self._COUNTS:
+            raise ValueError(
+                f"{type(self).__name__} needs part counts {self._COUNTS}, got {counts}"
+            )
+
+    def size_vector(self):
+        """Part sizes: a flat tuple for one field, one tuple per field else."""
+        sizes = tuple(tuple(len(p) for p in grp) for grp in self._groups())
+        return sizes[0] if len(sizes) == 1 else sizes
+
+    def canonical(self):
+        """The image under ``_MAPS`` minimizing (size vectors, sorted parts)."""
+
+        def key(groups: tuple[tuple[frozenset[int], ...], ...]):
+            sizes = tuple(tuple(len(p) for p in grp) for grp in groups)
+            contents = tuple(tuple(tuple(sorted(p)) for p in grp) for grp in groups)
+            return (sizes, contents)
+
+        images = (
+            tuple(tuple(grp[j] for j in sigma) for grp in self._groups())
+            for sigma in self._MAPS
+        )
+        return type(self)(*min(images, key=key))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": self._KIND,
+            "parts": [sorted(p) for grp in self._groups() for p in grp],
+        }
+
+
+@dataclass(frozen=True)
+class T11Witness(_RingWitness):
     """Eleven disjoint nonempty stable parts on a ring, anticomplete at
     distance 1 and 2 and complete at distance 3, 4, 5."""
 
     parts: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.parts) != 11:
-            raise ValueError("exactly 11 parts required")
-
-    def size_vector(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
-
-    def canonical(self) -> "T11Witness":
-        (parts,) = _min_relabel((self.parts,), _dihedral_maps(11))
-        return T11Witness(parts)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "t11_type", "parts": [sorted(p) for p in self.parts]}
+    _COUNTS = (11,)
+    _MAPS = _dihedral_maps(11)
+    _KIND = "t11_type"
 
 
 @dataclass(frozen=True)
-class HeptagramWitness:
+class HeptagramWitness(_RingWitness):
     """Seven disjoint nonempty stable parts, ring-indexed mod 7."""
 
     parts: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.parts) != 7:
-            raise ValueError("exactly 7 parts required")
-
-    def size_vector(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
-
-    def canonical(self) -> "HeptagramWitness":
-        (parts,) = _min_relabel((self.parts,), _dihedral_maps(7))
-        return HeptagramWitness(parts)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "heptagram", "parts": [sorted(p) for p in self.parts]}
-
-
-# The full-class rules are not rotation symmetric: only the identity and the
-# reflection j -> 2 - j preserve the designated linked pairs and the special
-# (0, 1, 2) triple.
-_TYPE_MAPS = (tuple(range(7)), tuple((2 - j) % 7 for j in range(7)))
+    _COUNTS = (7,)
+    _MAPS = _dihedral_maps(7)
+    _KIND = "heptagram"
 
 
 @dataclass(frozen=True)
-class HeptagramTypeWitness:
+class HeptagramTypeWitness(_RingWitness):
     """Seven nonempty ring parts plus seven optional outer groups which,
     together, partition the vertex set."""
 
     ring: tuple[frozenset[int], ...]
     outer: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.ring) != 7 or len(self.outer) != 7:
-            raise ValueError("exactly 7 ring parts and 7 outer groups required")
-
-    def size_vector(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (
-            tuple(len(p) for p in self.ring),
-            tuple(len(p) for p in self.outer),
-        )
-
-    def canonical(self) -> "HeptagramTypeWitness":
-        ring, outer = _min_relabel((self.ring, self.outer), _TYPE_MAPS)
-        return HeptagramTypeWitness(ring, outer)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "heptagram_type",
-            "parts": [sorted(p) for p in self.ring] + [sorted(p) for p in self.outer],
-        }
+    _COUNTS = (7, 7)
+    # The full-class rules are not rotation symmetric: only the identity and
+    # the reflection j -> 2 - j preserve the designated linked pairs and the
+    # special (0, 1, 2) triple.
+    _MAPS = (tuple(range(7)), tuple((2 - j) % 7 for j in range(7)))
+    _KIND = "heptagram_type"
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +177,28 @@ def _check_sets(g: Graph, parts: Iterable[frozenset[int]]) -> None:
                 raise ValueError(f"vertex {v} out of range")
 
 
+def _preamble_failure(g: Graph, masks: list[int], ring_parts: int) -> StructureVerdict | None:
+    """The first failure of the rules shared by the two covering witnesses,
+    or None: "partition" (the masks are disjoint and cover the vertex set),
+    then "nonempty" (the first ``ring_parts`` masks), then "stable" (all)."""
+    union = 0
+    for m in masks:
+        if union & m:
+            return StructureVerdict(False, "partition", (_first_bit(union & m),))
+        union |= m
+    missing = ~union & ((1 << g.n) - 1)
+    if missing:
+        return StructureVerdict(False, "partition", (_first_bit(missing),))
+    for i in range(ring_parts):
+        if not masks[i]:
+            return StructureVerdict(False, "nonempty", (i,))
+    for m in masks:
+        hit = _edge_between(g, m, m)
+        if hit:
+            return StructureVerdict(False, "stable", hit)
+    return None
+
+
 def verify_t11_type(g: Graph, w: T11Witness) -> StructureVerdict:
     """Check the 11-ring conditions.
 
@@ -203,20 +207,9 @@ def verify_t11_type(g: Graph, w: T11Witness) -> StructureVerdict:
     """
     _check_sets(g, w.parts)
     masks = [mask_of(p) for p in w.parts]
-    union = 0
-    for m in masks:
-        if union & m:
-            return StructureVerdict(False, "partition", (_first_bit(union & m),))
-        union |= m
-    if union != (1 << g.n) - 1:
-        missing = ~union & ((1 << g.n) - 1)
-        return StructureVerdict(False, "partition", (_first_bit(missing),))
-    for i, m in enumerate(masks):
-        if not m:
-            return StructureVerdict(False, "nonempty", (i,))
-        hit = _edge_between(g, m, m)
-        if hit:
-            return StructureVerdict(False, "stable", hit)
+    bad = _preamble_failure(g, masks, 11)
+    if bad:
+        return bad
     for i in range(11):
         for d in (1, 2):
             hit = _edge_between(g, masks[i], masks[(i + d) % 11])
@@ -317,24 +310,12 @@ def verify_heptagram_type(g: Graph, w: HeptagramTypeWitness) -> StructureVerdict
     four surrounding outer groups empty; "10" among any three consecutive
     outer groups one is empty.
     """
-    _check_sets(g, list(w.ring) + list(w.outer))
+    _check_sets(g, w.ring + w.outer)
     ring = [mask_of(p) for p in w.ring]
     outer = [mask_of(p) for p in w.outer]
-    union = 0
-    for m in ring + outer:
-        if union & m:
-            return StructureVerdict(False, "partition", (_first_bit(union & m),))
-        union |= m
-    if union != (1 << g.n) - 1:
-        missing = ~union & ((1 << g.n) - 1)
-        return StructureVerdict(False, "partition", (_first_bit(missing),))
-    for i in range(7):
-        if not ring[i]:
-            return StructureVerdict(False, "nonempty", (i,))
-    for m in ring + outer:
-        hit = _edge_between(g, m, m)
-        if hit:
-            return StructureVerdict(False, "stable", hit)
+    bad = _preamble_failure(g, ring + outer, 7)
+    if bad:
+        return bad
 
     rows = g.rows
     for i in range(7):
@@ -379,19 +360,11 @@ def verify_heptagram_type(g: Graph, w: HeptagramTypeWitness) -> StructureVerdict
         far_hi, far_lo = ring[(i + 3) % 7], ring[(i + 4) % 7]
         near = ring[(i + 1) % 7] | ring[(i + 2) % 7] | ring[(i + 5) % 7] | ring[(i + 6) % 7]
         for y in iter_bits(outer[i]):
-            n_hi, n_lo = rows[y] & far_hi, rows[y] & far_lo
-            n_center = rows[y] & ring[i]
-            miss = _missing_edge(g, n_hi, n_lo)
-            if miss:
-                return StructureVerdict(False, "7", (y,) + miss)
-            hit = _edge_between(g, n_hi, far_lo & ~n_lo)
-            if hit is None:
-                hit = _edge_between(g, n_lo, far_hi & ~n_hi)
-            if hit:
-                return StructureVerdict(False, "7", (y,) + hit)
-            miss = _missing_edge(g, n_center, near)
-            if miss:
-                return StructureVerdict(False, "7", (y,) + miss)
+            bad = _anchor_violation(g, y, far_hi, far_lo) or _missing_edge(
+                g, rows[y] & ring[i], near
+            )
+            if bad:
+                return StructureVerdict(False, "7", (y,) + bad)
     for i in range(7):
         miss = _missing_edge(g, outer[i], outer[(i + 1) % 7])
         if miss:
@@ -441,18 +414,17 @@ class Tail:
     ring_index: int
 
 
-def _anchor_coherent(g: Graph, v: int, far_hi: int, far_lo: int) -> bool:
+def _anchor_violation(g: Graph, v: int, far_hi: int, far_lo: int) -> tuple[int, int] | None:
     """Neighborhood coherence at an attachment vertex: its two far-part
     neighborhoods are complete to each other and anticomplete to the
-    non-neighbors of the opposite part."""
+    non-neighbors of the opposite part.  Returns the first offending pair,
+    or None when coherent."""
     n_hi, n_lo = g.rows[v] & far_hi, g.rows[v] & far_lo
-    if _missing_edge(g, n_hi, n_lo):
-        return False
-    if _edge_between(g, n_hi, far_lo & ~n_lo):
-        return False
-    if _edge_between(g, n_lo, far_hi & ~n_hi):
-        return False
-    return True
+    return (
+        _missing_edge(g, n_hi, n_lo)
+        or _edge_between(g, n_hi, far_lo & ~n_lo)
+        or _edge_between(g, n_lo, far_hi & ~n_hi)
+    )
 
 
 def classify_vertex(g: Graph, w: HeptagramWitness, v: int) -> VertexClassification:
@@ -479,10 +451,9 @@ def classify_vertex(g: Graph, w: HeptagramWitness, v: int) -> VertexClassificati
         if set(nonempty) != {t, hi, lo}:
             continue
         near = masks[(t + 1) % 7] | masks[(t + 2) % 7] | masks[(t + 5) % 7] | masks[(t + 6) % 7]
-        if not _anchor_coherent(g, v, masks[hi], masks[lo]):
-            continue
-        center = rows[v] & masks[t]
-        if _missing_edge(g, center, near):
+        if _anchor_violation(g, v, masks[hi], masks[lo]) or _missing_edge(
+            g, rows[v] & masks[t], near
+        ):
             continue
         return VertexClassification(v, "y_vertex", ring_index=t, neighborhoods=neigh)
 
@@ -490,7 +461,7 @@ def classify_vertex(g: Graph, w: HeptagramWitness, v: int) -> VertexClassificati
         hi, lo = (t + 3) % 7, (t + 4) % 7
         if set(nonempty) != {hi, lo}:
             continue
-        if _anchor_coherent(g, v, masks[hi], masks[lo]):
+        if not _anchor_violation(g, v, masks[hi], masks[lo]):
             return VertexClassification(v, "hat", ring_index=t, neighborhoods=neigh)
 
     windows = [
@@ -546,7 +517,7 @@ def find_tails(g: Graph, w: HeptagramWitness, outside: Iterable[int]) -> list[Ta
                 continue
             if rows[start] & ring_near:
                 continue
-            if not _anchor_coherent(g, start, far_hi, far_lo):
+            if _anchor_violation(g, start, far_hi, far_lo):
                 continue
             h0 = bool(rows[start] & diag_hi)
             l0 = bool(rows[start] & diag_lo)
@@ -596,60 +567,35 @@ def classify_outside_vertices(
 # ---------------------------------------------------------------------------
 
 
-def _t11_fits(g: Graph, masks: list[int], v: int, i: int) -> bool:
-    row = g.rows[v]
-    for d in range(11):
-        m = masks[(i + d) % 11]
-        if d in (0, 1, 2, 9, 10):
-            if row & m:
-                return False
-        else:
-            if m & ~row:
-                return False
-    return True
-
-
 def recognize_t11_type(g: Graph) -> T11Witness | None:
-    """Recover an 11-ring witness, or None.
+    """Recover an 11-ring witness, or None; exact, from one core embedding.
 
-    Seeds singleton parts from an embedded 11-vertex circulant core, then
-    assigns every vertex matching a unique index, iterating to fixpoint.
-    For n <= 14 an exhaustive leftover assignment backs up the greedy pass.
+    The vertices of one part of a witness are false twins (the part is
+    stable, and every pair of parts is complete or anticomplete), while the
+    11-vertex (3,4,5)-circulant core has no false twins.  So an induced copy
+    of the core meets each part exactly once, and its index map is an
+    automorphism of the core: every vertex of the part holding core vertex
+    i sees exactly the core vertices that i sees.  No two core vertices see
+    the same ones, so each vertex fits exactly one index.  One pass
+    therefore assigns every vertex by its neighborhood on the first
+    embedding found; a vertex that fits no index, or a witness that fails
+    verification, shows that ``g`` is not of the type.
     """
     if g.n < 11:
         return None
     core = Graph.circulant(11, (3, 4, 5))
-    embeddings = iter_induced_embeddings(g, core)
-    for emb in embeddings:
-        masks = [1 << emb[i] for i in range(11)]
-        rest = sorted(set(range(g.n)) - set(emb))
-        progress = True
-        while rest and progress:
-            progress = False
-            still = []
-            for v in rest:
-                fits = [i for i in range(11) if _t11_fits(g, masks, v, i)]
-                if len(fits) == 1:
-                    masks[fits[0]] |= 1 << v
-                    progress = True
-                else:
-                    still.append(v)
-            rest = still
-        if not rest:
-            w = T11Witness(tuple(frozenset(iter_bits(m)) for m in masks))
-            if verify_t11_type(g, w).ok:
-                return w.canonical()
-    if g.n <= 14:
-        for emb in iter_induced_embeddings(g, core):
-            rest = sorted(set(range(g.n)) - set(emb))
-            for combo in product(range(11), repeat=len(rest)):
-                masks = [1 << emb[i] for i in range(11)]
-                for v, i in zip(rest, combo):
-                    masks[i] |= 1 << v
-                w = T11Witness(tuple(frozenset(iter_bits(m)) for m in masks))
-                if verify_t11_type(g, w).ok:
-                    return w.canonical()
-    return None
+    emb = find_induced_embedding(g, core)
+    if emb is None:
+        return None
+    index_of = {core.rows[i]: i for i in range(11)}
+    masks = [0] * 11
+    for v in range(g.n):
+        i = index_of.get(sum(1 << j for j in range(11) if g.rows[v] >> emb[j] & 1))
+        if i is None:
+            return None
+        masks[i] |= 1 << v
+    w = T11Witness(tuple(frozenset(iter_bits(m)) for m in masks))
+    return w.canonical() if verify_t11_type(g, w).ok else None
 
 
 def _grow_heptagram(g: Graph, seed: tuple[int, ...]) -> HeptagramWitness:
@@ -686,7 +632,7 @@ def _grow_heptagram(g: Graph, seed: tuple[int, ...]) -> HeptagramWitness:
 def _orient_heptagram_type(
     g: Graph, ring: tuple[frozenset[int], ...], groups: list[set[int]]
 ) -> HeptagramTypeWitness | None:
-    for sigma in _dihedral_maps(7):
+    for sigma in HeptagramWitness._MAPS:
         cand = HeptagramTypeWitness(
             tuple(ring[sigma[j]] for j in range(7)),
             tuple(frozenset(groups[sigma[j]]) for j in range(7)),

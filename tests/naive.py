@@ -151,6 +151,63 @@ def clique_number_subsets(g: Graph) -> int:
     return best
 
 
+def is_perfect_by_subgraphs(g: Graph) -> bool:
+    """chi == omega on every induced subgraph.
+
+    Both invariants are tabulated for every vertex subset s by dynamic
+    programming over subsets, with v the lowest vertex of s: omega(s) is
+    the larger of omega(s - v) and 1 + omega(s & N(v)); chi(s) is 1 plus
+    the least chi(s - I) over the stable sets I of s holding v.
+    """
+    full = 1 << g.n
+    omega = [0] * full
+    chi = [0] * full
+    stable = [True] * full
+    for s in range(1, full):
+        low = s & -s
+        rest = s ^ low
+        neighbors = g.rows[low.bit_length() - 1] & rest
+        omega[s] = max(omega[rest], 1 + omega[neighbors])
+        stable[s] = stable[rest] and not neighbors
+        others = rest & ~neighbors
+        best = g.n
+        sub = others
+        while True:
+            if stable[sub | low]:
+                best = min(best, 1 + chi[rest & ~sub])
+            if not sub:
+                break
+            sub = (sub - 1) & others
+        chi[s] = best
+        if chi[s] != omega[s]:
+            return False
+    return True
+
+
+T11_CORE = nx.circulant_graph(11, [3, 4, 5])
+
+
+def t11_sizes_by_twins(g: Graph) -> tuple[int, ...] | None:
+    """Part sizes in ring order when g is T11-type, else None.
+
+    A graph is T11-type exactly when it has 11 false-twin classes (vertices
+    with equal neighborhoods) and its quotient on them is isomorphic to the
+    (3,4,5)-circulant on 11 vertices.
+    """
+    classes: dict[frozenset[int], list[int]] = {}
+    for v in range(g.n):
+        neighbors = frozenset(u for u in range(g.n) if g.adjacent(u, v))
+        classes.setdefault(neighbors, []).append(v)
+    if len(classes) != 11:
+        return None
+    size_of = {members[0]: len(members) for members in classes.values()}
+    quotient = to_networkx(g).subgraph(size_of)
+    matcher = nx.isomorphism.GraphMatcher(T11_CORE, quotient)
+    if not matcher.is_isomorphic():
+        return None
+    return tuple(size_of[matcher.mapping[i]] for i in range(11))
+
+
 def canonical_by_placement(g: Graph) -> Graph:
     """Isomorph of g with the lexicographically least graph6 string, by a
     placement search over per-bit column lists.

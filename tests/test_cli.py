@@ -196,6 +196,30 @@ class TestAnalyze:
         (rec,) = json_lines(out)
         assert "error" in rec
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (b"Bw;0-1", "vertex count at character 0 is not an integer"),
+            (b"3;0-x", "edge endpoint at character 4 is not an integer"),
+            (b"3;0-1,12", "edge at character 6 has no '-'"),
+            (b"3;0-\xc3\xa9", "edge endpoint at character 4 is not an integer"),
+        ],
+    )
+    def test_adjlist_bad_field_named(self, capsys, tmp_path, bad, message):
+        def analyze(lines):
+            path = tmp_path / "in.adj"
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            return run_cli(
+                capsys, ["analyze", str(path), "--format", "adjlist", "--no-timings"]
+            )
+
+        _, clean, _ = analyze([b"3;0-1", b"3;1-2"])
+        code, out, _ = analyze([b"3;0-1", bad, b"3;1-2"])
+        assert code == 3
+        first, error, last = out.splitlines()
+        assert [first, last] == clean.splitlines()
+        assert json.loads(error) == {"error": message, "line": 2, "schema_version": 1}
+
     def test_workers_match_serial(self, capsys, tmp_path):
         path = tmp_path / "in.g6"
         graphs = all_graphs_up_to(4)
@@ -249,6 +273,12 @@ class TestOnePipeline:
             for key, value in facts.items():
                 if key in rec:
                     assert rec[key] == value, (rec["graph6"], key)
+
+    def test_chi_skipped_above_exact_cap(self):
+        assert analyze_graph(Graph.empty(40), with_timings=False)["chi"] == 1
+        report = analyze_graph(Graph.empty(41), with_timings=False)
+        assert report["chi"] is None
+        assert report["notes"] == ["chromatic number skipped (n > 40)"]
 
     def test_exhausted_odd_hole_budget_is_inconclusive(
         self, capsys, tmp_path, monkeypatch

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from heptalab.detect import (
@@ -12,15 +13,17 @@ from heptalab.detect import (
     find_odd_hole,
     full_house_graph,
     has_c7_complement,
-    is_perfect_bruteforce,
+    is_perfect,
     verify_hit,
 )
-from heptalab.graph import Graph, induced_subgraph, is_clique
+from heptalab.graph import Graph, induced_subgraph, is_clique, to_graph6
 
 from .naive import (
     clique_number_subsets,
+    from_networkx,
     full_houses_by_degree,
     is_bipartite,
+    is_perfect_by_subgraphs,
     naive_chromatic,
     odd_holes_by_isomorphism,
 )
@@ -169,7 +172,7 @@ class TestCliqueNumber:
 
 class TestPerfection:
     def test_five_cycle_imperfect(self):
-        assert not is_perfect_bruteforce(Graph.cycle(5))
+        assert not is_perfect(Graph.cycle(5))
 
     def test_bipartite_perfect(self):
         rng = random.Random(12)
@@ -179,18 +182,55 @@ class TestPerfection:
             g = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
             if not is_bipartite(g):
                 continue
-            assert is_perfect_bruteforce(g)
+            assert is_perfect(g)
             assert naive_chromatic(g) == clique_number(g)[0]
             checked += 1
 
     def test_c7_complement_imperfect(self):
         g = c7_complement()
-        assert not is_perfect_bruteforce(g)
+        assert not is_perfect(g)
         assert naive_chromatic(g) == 4 and clique_number(g)[0] == 3
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            is_perfect_bruteforce(Graph.empty(13))
+    def test_every_graph_up_to_seven_against_subgraph_scan(self):
+        perfect_per_order = [0] * 8
+        for h in nx.graph_atlas_g():
+            g = from_networkx(h)
+            answer = is_perfect(g)
+            assert answer == is_perfect_by_subgraphs(g), to_graph6(g)
+            perfect_per_order[g.n] += answer
+        # perfect graphs per order, OEIS A052431 (with the empty graph first)
+        assert perfect_per_order == [1, 1, 2, 4, 11, 33, 148, 906]
+
+    def test_random_eight_to_ten_against_subgraph_scan(self):
+        rng = random.Random(31)
+        perfect = 0
+        for _ in range(300):
+            n = rng.randint(8, 10)
+            g = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            if rng.random() < 0.5:
+                # a random bipartite or co-bipartite graph, to draw perfect ones
+                side = rng.getrandbits(n)
+                crossing = [(u, v) for u, v in g.edges() if (side >> u ^ side >> v) & 1]
+                g = Graph.from_edges(n, crossing)
+                if rng.random() < 0.5:
+                    g = g.complement()
+            answer = is_perfect(g)
+            assert answer == is_perfect_by_subgraphs(g), to_graph6(g)
+            perfect += answer
+        assert 100 < perfect < 300
+
+    def test_thirteen_and_sixteen_vertices(self):
+        assert not is_perfect(Graph.cycle(13).complement())
+        rng = random.Random(16)
+        side = [v % 2 for v in range(16)]
+        bipartite = Graph.from_edges(
+            16,
+            [(u, v) for u in range(16) for v in range(u + 1, 16)
+             if side[u] != side[v] and rng.random() < 0.5],
+        )
+        assert bipartite.edge_count > 0
+        assert is_perfect(bipartite)
+        assert is_perfect(bipartite.complement())
 
 
 class TestHitStaleness:

@@ -153,6 +153,22 @@ class TestSearch:
 
         assert find_harmonious_cutset(c7_complement(), candidates="all").status == "none"
 
+    def test_candidate_pools_smallest_first(self):
+        from itertools import combinations, islice
+
+        from heptalab.harmonious import _candidate_cutsets
+
+        g = Graph.cycle(6)
+        every = [frozenset(c) for k in range(1, 5) for c in combinations(range(6), k)]
+        assert list(_candidate_cutsets(g, "all", 2)) == every  # sizes 1..n-2
+        assert list(_candidate_cutsets(g, "subsets", 2)) == every[:6 + 15]
+        # the pool is lazy: the first candidates of a large graph come at once
+        big = Graph.cycle(60)
+        assert list(islice(_candidate_cutsets(big, "all", 4), 2)) == [
+            frozenset({0}),
+            frozenset({1}),
+        ]
+
 
 class TestMerge:
     def test_already_compliant_unchanged(self):

@@ -6,7 +6,10 @@ from heptalab.detect import c7_complement, find_full_house, find_odd_hole
 from heptalab.graph import Graph, relation
 from heptalab.structures import (
     GenerationError,
+    HeptagramTypeWitness,
     HeptagramWitness,
+    StructureVerdict,
+    T11Witness,
     Tail,
     classify_outside_vertices,
     classify_vertex,
@@ -20,6 +23,8 @@ from heptalab.structures import (
     verify_heptagram_type,
     verify_t11_type,
 )
+
+from .naive import t11_sizes_by_twins
 
 
 def naive_heptagram_check(g: Graph, parts) -> bool:
@@ -119,6 +124,38 @@ class TestVerifyHeptagramType:
         verdict = verify_heptagram_type(bigger, w)
         assert not verdict.ok and verdict.rule == "partition"
 
+    def test_preamble_order(self):
+        # partition, then nonempty ring parts, then stability
+        g = c7_complement()
+        rest = [{i} for i in range(2, 7)]
+        empty = parts(*[()] * 7)
+        unstable = HeptagramTypeWitness(parts({0, 7}, {1}, *rest), empty)
+        verdict = verify_heptagram_type(g.with_vertex(1), unstable)
+        assert verdict == StructureVerdict(False, "stable", (0, 7))
+        hollow = HeptagramTypeWitness(parts({0, 1}, (), *rest), empty)
+        assert verify_heptagram_type(g, hollow) == StructureVerdict(False, "nonempty", (1,))
+        short = HeptagramTypeWitness(parts({0}, (), *rest), empty)
+        assert verify_heptagram_type(g, short) == StructureVerdict(False, "partition", (1,))
+
+    # ring 4 = {4, 5}, ring 5 = {6, 7}, outer 1 = {9} on parts 1, 4 and 5;
+    # ring 4 and ring 5 are only linked once the listed edges are gone
+    @pytest.mark.parametrize(
+        "removed, verdict, kind",
+        [
+            ([(4, 7), (5, 6), (5, 9), (7, 9)], StructureVerdict(True), "y_vertex"),
+            ([(4, 7), (5, 6), (5, 9), (6, 9)], StructureVerdict(False, "7", (9, 4, 7)),
+             "unclassifiable"),
+            ([(4, 7), (5, 9), (7, 9)], StructureVerdict(False, "7", (9, 6, 5)), "unclassifiable"),
+        ],
+    )
+    def test_anchor_coherence(self, removed, verdict, kind):
+        g, w = generate_heptagram_type([1, 1, 1, 1, 2, 2, 1], [0, 1, 0, 0, 0, 0, 0])
+        g = Graph.from_edges(g.n, [e for e in g.edges() if e not in removed])
+        assert verify_heptagram_type(g, w) == verdict
+        ring = HeptagramWitness(w.ring)
+        assert classify_vertex(g, ring, 9).kind == kind
+        assert find_tails(g, ring, [9]) == ([Tail((9,), 1)] if verdict.ok else [])
+
     def test_three_consecutive_outer_rejected(self):
         g, w = generate_heptagram_type([1] * 7, [0, 0, 1, 1, 0, 0, 0])
         assert verify_heptagram_type(g, w).ok
@@ -147,6 +184,11 @@ class TestVerifyT11:
     def test_blowup(self):
         g, w = generate_t11_type([2] + [1] * 10)
         assert g.n == 12 and verify_t11_type(g, w).ok
+
+    def test_empty_part(self):
+        g = Graph.circulant(11, (3, 4, 5))
+        w = T11Witness(parts({0, 1}, (), *[{i} for i in range(2, 11)]))
+        assert verify_t11_type(g, w) == StructureVerdict(False, "nonempty", (1,))
 
 
 class TestRecognizeT11:
@@ -180,6 +222,38 @@ class TestRecognizeT11:
         g, _ = generate_t11_type([1] * 11)
         g2 = Graph.from_edges(11, g.edges() + [(0, 1)])
         assert recognize_t11_type(g2) is None
+
+    def test_matches_twin_quotient_oracle(self):
+        rng = random.Random(1018)
+        cases = []
+        for _ in range(12):
+            g, _ = generate_t11_type([rng.randint(1, 3) for _ in range(11)])
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = g.relabel(perm)
+            u, v = rng.sample(range(g.n), 2)
+            flipped = set(g.edges()) ^ {(min(u, v), max(u, v))}
+            twin = rng.randrange(g.n)
+            cases += [
+                g,
+                Graph.from_edges(g.n, sorted(flipped)),
+                g.with_vertex(rng.getrandbits(g.n)),
+                g.with_vertex(g.rows[twin]),  # a false twin stays in the class
+            ]
+        for _ in range(30):
+            n = rng.randint(11, 14)
+            cases.append(Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)))
+        members = 0
+        for g in cases:
+            w = recognize_t11_type(g)
+            sizes = t11_sizes_by_twins(g)
+            assert (w is None) == (sizes is None), g.edges()
+            if w is None:
+                continue
+            members += 1
+            assert verify_t11_type(g, w).ok
+            assert w.size_vector() in dihedral_images(sizes)
+        assert members >= 24
 
 
 class TestClassifyVertex:
@@ -348,6 +422,17 @@ class TestConsequences:
             assert heptagram_consequences(g, HeptagramWitness(w.ring)) == []
 
 
+def dihedral_images(sizes):
+    m = len(sizes)
+    return {tuple(sizes[(a + j) % m] for j in range(m)) for a in range(m)} | {
+        tuple(sizes[(a - j) % m] for j in range(m)) for a in range(m)
+    }
+
+
+def parts(*sets):
+    return tuple(frozenset(p) for p in sets)
+
+
 class TestWitnessSerialization:
     def test_t11_json(self):
         _, w = generate_t11_type([2] + [1] * 10)
@@ -367,10 +452,60 @@ class TestWitnessSerialization:
         _, w = generate_t11_type([3, 1, 2, 1, 1, 2, 1, 1, 1, 1, 1])
         c = w.canonical()
         assert c.canonical() == c
-        sizes = w.size_vector()
-        images = [
-            tuple(sizes[(a + j) % 11] for j in range(11)) for a in range(11)
-        ] + [
-            tuple(sizes[(a - j) % 11] for j in range(11)) for a in range(11)
-        ]
-        assert c.size_vector() == min(images)
+        assert c.size_vector() == min(dihedral_images(w.size_vector()))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: T11Witness(parts(*[{i} for i in range(10)])),
+            lambda: T11Witness(parts(*[{i} for i in range(12)])),
+            lambda: HeptagramWitness(parts(*[{i} for i in range(6)])),
+            lambda: HeptagramWitness(parts(*[{i} for i in range(11)])),
+            lambda: HeptagramTypeWitness(parts(*[{i} for i in range(7)]), parts(*[()] * 6)),
+            lambda: HeptagramTypeWitness(parts(*[{i} for i in range(8)]), parts(*[()] * 7)),
+        ],
+    )
+    def test_wrong_part_count_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_pinned_t11(self):
+        w = T11Witness(parts({4}, {0, 11}, {5}, {2}, {6, 12, 13}, {1}, {7}, {3}, {8}, {9}, {10}))
+        assert w.size_vector() == (1, 2, 1, 1, 3, 1, 1, 1, 1, 1, 1)
+        assert w.to_json_dict() == {
+            "kind": "t11_type",
+            "parts": [[4], [0, 11], [5], [2], [6, 12, 13], [1], [7], [3], [8], [9], [10]],
+        }
+        c = w.canonical()
+        assert c == T11Witness(
+            parts({1}, {7}, {3}, {8}, {9}, {10}, {4}, {0, 11}, {5}, {2}, {6, 12, 13})
+        )
+        assert c.size_vector() == (1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 3)
+
+    def test_pinned_heptagram(self):
+        w = HeptagramWitness(parts({3}, {0, 7}, {4}, {1}, {5, 8}, {2}, {6}))
+        assert w.to_json_dict() == {
+            "kind": "heptagram",
+            "parts": [[3], [0, 7], [4], [1], [5, 8], [2], [6]],
+        }
+        c = w.canonical()
+        assert c == HeptagramWitness(parts({2}, {6}, {3}, {0, 7}, {4}, {1}, {5, 8}))
+        assert c.size_vector() == (1, 1, 1, 2, 1, 1, 2)
+
+    def test_pinned_heptagram_type(self):
+        w = HeptagramTypeWitness(
+            parts({1}, {0, 9}, {2}, {3}, {4, 8}, {5}, {6}),
+            parts({7}, (), (), (), (), (), ()),
+        )
+        assert w.size_vector() == ((1, 2, 1, 1, 2, 1, 1), (1, 0, 0, 0, 0, 0, 0))
+        assert w.to_json_dict() == {
+            "kind": "heptagram_type",
+            "parts": [[1], [0, 9], [2], [3], [4, 8], [5], [6], [7], [], [], [], [], [], []],
+        }
+        # only the reflection j -> 2 - j is allowed, and here it is smaller
+        c = w.canonical()
+        assert c == HeptagramTypeWitness(
+            parts({2}, {0, 9}, {1}, {6}, {5}, {4, 8}, {3}),
+            parts((), (), {7}, (), (), (), ()),
+        )
+        assert c.size_vector() == ((1, 2, 1, 1, 1, 2, 1), (0, 0, 1, 0, 0, 0, 0))
