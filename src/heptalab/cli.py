@@ -30,8 +30,9 @@ from .detect import (
     has_c7_complement,
 )
 from .graph import Graph, Graph6Error, from_graph6, to_graph6
-from .harmonious import DEFAULT_PARITY_BUDGET, find_harmonious_cutset
+from .harmonious import DEFAULT_BUDGET, find_harmonious_cutset
 from .structures import (
+    HEPTAGRAM_EXHAUSTIVE_MAX_N,
     GenerationError,
     generate_heptagram_type,
     generate_t11_type,
@@ -41,7 +42,6 @@ from .structures import (
 
 SCHEMA_VERSION = 1
 DETECTOR_BUDGET = 10**8
-EXHAUSTIVE_CUTSET_MAX_N = 12
 # graphs handed to a worker process at a time when --workers is above 1
 POOL_CHUNKSIZE = 16
 
@@ -155,8 +155,8 @@ def analyze_graph(
         else:
             found["harmonious_status"] = "skipped"
             found["harmonious"] = None
-        t11 = recognize_t11_type(g) if g.n >= 11 else None
-        hepta = recognize_heptagram_type(g) if g.n >= 7 else None
+        t11 = recognize_t11_type(g)
+        hepta = recognize_heptagram_type(g)
         found["t11_type"] = t11.to_json_dict() if t11 else None
         found["heptagram_type"] = hepta.to_json_dict() if hepta else None
         report["structures"] = found
@@ -224,9 +224,10 @@ def record_outcome(rec: dict, theorem: str) -> str:
 def dichotomy_outcome(g: Graph, rec: dict, budget: int) -> str:
     """Outcome under the structural dichotomy: connected class members with
     the 7-vertex antihole and no harmonious cutset must be recognized as one
-    of the two structured classes.  The no-cutset hypothesis is certified by
-    exhaustive search only for n <= 12; larger graphs come back
-    inconclusive unless an actual cutset filters them out."""
+    of the two structured classes.  The cutset search is exact within
+    ``budget``, the heptagram-type recognizer only up to
+    HEPTAGRAM_EXHAUSTIVE_MAX_N vertices: above that, a graph that neither
+    recognizer accepts is inconclusive, not a violation."""
     if not rec["connected"]:
         return "filtered"
     if rec["odd_hole_free"] is None:
@@ -235,19 +236,14 @@ def dichotomy_outcome(g: Graph, rec: dict, budget: int) -> str:
         return "filtered"
     if not rec.get("full_house_free") or not rec.get("has_c7_complement"):
         return "filtered"
-    exhaustive = g.n <= EXHAUSTIVE_CUTSET_MAX_N
-    res = find_harmonious_cutset(
-        g, budget=budget, candidates="all" if exhaustive else "auto"
-    )
+    res = find_harmonious_cutset(g, budget)
     if res.status == "found":
         return "filtered"
-    if res.status == "inconclusive" or not exhaustive:
+    if res.status == "inconclusive":
         return "inconclusive"
-    if recognize_t11_type(g) is not None:
+    if recognize_t11_type(g) is not None or recognize_heptagram_type(g) is not None:
         return "pass"
-    if recognize_heptagram_type(g) is not None:
-        return "pass"
-    return "violation"
+    return "violation" if g.n <= HEPTAGRAM_EXHAUSTIVE_MAX_N else "inconclusive"
 
 
 def verdict_from_records(
@@ -255,7 +251,7 @@ def verdict_from_records(
     theorem: str,
     *,
     graphs: Sequence[Graph] | None = None,
-    budget: int = DEFAULT_PARITY_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     seed: int | None = None,
 ) -> dict:
     population = 0
@@ -291,7 +287,7 @@ def evaluate_theorem(
     graphs: Sequence[Graph],
     theorem: str,
     *,
-    budget: int = DEFAULT_PARITY_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     workers: int = 1,
     seed: int | None = None,
 ) -> dict:
@@ -510,34 +506,23 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 had_error = True
                 continue
             try:
-                res = find_harmonious_cutset(
-                    g,
-                    max_cutset=args.max_cutset,
-                    budget=args.budget,
-                    candidates=args.candidates,
-                )
+                res = find_harmonious_cutset(g, args.budget)
             except ValueError as exc:
                 record = _error_record(line_number, str(exc))
                 record["graph6"] = to_graph6(g).decode("ascii")
                 print(_dump(record))
                 had_error = True
                 continue
-            if res.status == "inconclusive":
-                any_inconclusive = True
-            print(
-                _dump(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "graph6": to_graph6(g).decode("ascii"),
-                        "status": res.status,
-                        "partition": res.partition.to_json_dict()
-                        if res.partition
-                        else None,
-                        "steps": res.steps,
-                        "budget": args.budget,
-                    }
-                )
-            )
+            any_inconclusive |= res.status == "inconclusive"
+            record = {
+                "schema_version": SCHEMA_VERSION,
+                "graph6": to_graph6(g).decode("ascii"),
+                "status": res.status,
+                "partition": res.partition.to_json_dict() if res.partition else None,
+                "steps": res.steps,
+                "budget": args.budget,
+            }
+            print(_dump(record))
     if had_error:
         return 3
     return 2 if any_inconclusive else 0
@@ -549,6 +534,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 WORKERS_HELP = "worker processes (default: $HEPTALAB_WORKERS, else 1)"
+BUDGET_HELP = "search steps allowed per harmonious-cutset search"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -577,7 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", metavar="FILE", nargs="?", help="graph6 lines, or - for stdin")
     p.add_argument("--theorem", required=True, choices=sorted(THEOREM_IDS))
     p.add_argument("--enumerate", type=int, metavar="N", help="all graphs up to N vertices")
-    p.add_argument("--budget", type=int, default=DEFAULT_PARITY_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.add_argument("--workers", metavar="K", help=WORKERS_HELP)
     p.add_argument("--seed", type=int, default=None, help="recorded in the verdict")
     p.add_argument("--no-timings", action="store_true")
@@ -594,13 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="search for a harmonious cutset")
     p.add_argument("input", metavar="FILE", help="graph6 lines, or - for stdin")
-    p.add_argument("--budget", type=int, default=DEFAULT_PARITY_BUDGET)
-    p.add_argument("--max-cutset", type=int, default=4)
-    p.add_argument(
-        "--candidates",
-        choices=("auto", "minimal-separators", "subsets", "all"),
-        default="auto",
-    )
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p.set_defaults(func=cmd_decompose)
     return parser
 

@@ -194,7 +194,6 @@ def four_color_heptagram_type(g: Graph, witness) -> Coloring:
     verdict = verify_heptagram_type(g, witness)
     if not verdict.ok:
         raise ValueError(f"witness failed verification: rule {verdict.rule}")
-    omega, _ = clique_number(g)
 
     colors: dict[int, int] = {}
     for i, part in enumerate(witness.ring):
@@ -229,7 +228,8 @@ def four_color_heptagram_type(g: Graph, witness) -> Coloring:
         return Coloring(colors, 4)
 
     # fallback: exact search, reporting the clique number for diagnosis
-    found, _ = _try_k_coloring(g, 4, clique_number(g)[1])
+    omega, clique = clique_number(g)
+    found, _ = _try_k_coloring(g, 4, clique)
     if found is None:
         raise ValueError(
             f"no 4-coloring found for claimed heptagram-type graph (clique number {omega})"

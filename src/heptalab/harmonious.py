@@ -6,22 +6,25 @@ between cutset vertices whose interior avoids the cutset has even length when
 its endpoints share a part and odd length otherwise.  Two proper colorings of
 the two sides can then be aligned part-by-part with color swaps and glued.
 
-Path parity checks are exponential in the worst case, so every check runs
-under a step budget and reports "inconclusive" when the budget runs dry; it
-never guesses.
+The cutset search is exact: it tries every vertex set that disconnects the
+graph and induces a bipartite or complete multipartite graph, the only
+shapes a harmonious cutset can take.  Both that pool and the path parity
+checks are exponential in the worst case, so the search and every check
+run under one budget of search steps and report "inconclusive" when it
+runs dry; neither ever guesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from itertools import combinations, product
+from typing import Callable, Iterator
 
 from .coloring import Coloring
-from .detect import clique_number
+from .detect import SearchBudgetExceeded
 from .graph import Graph, iter_bits, mask_of
 
-DEFAULT_PARITY_BUDGET = 10_000_000
+DEFAULT_BUDGET = 10_000_000
 
 
 class MergeError(RuntimeError):
@@ -60,10 +63,7 @@ class HarmoniousPartition:
 
     @property
     def cutset(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for part in self.parts:
-            out |= part
-        return out
+        return frozenset().union(*self.parts)
 
     def part_index(self) -> dict[int, int]:
         return {v: i for i, part in enumerate(self.parts) for v in part}
@@ -99,7 +99,7 @@ def _check_shape(g: Graph, p: HarmoniousPartition) -> None:
 def verify_harmonious(
     g: Graph,
     p: HarmoniousPartition,
-    budget: int = DEFAULT_PARITY_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> HarmonyVerdict:
     """Check the harmonious conditions by exhaustive induced-path search.
 
@@ -176,127 +176,144 @@ class CutsetSearchResult:
     steps: int
 
 
-def minimal_separators(g: Graph) -> list[frozenset[int]]:
-    """All inclusion-minimal vertex separators, by direct enumeration.
+def minimal_separators(g: Graph, budget: int | None = None) -> list[frozenset[int]]:
+    """All inclusion-minimal vertex separators (sets with two components of
+    their removal seeing all of them), sorted by (size, members).
 
-    Every minimal separator is the neighborhood of a connected set, and a
-    candidate qualifies exactly when at least two components of its removal
-    see all of it.  Exponential in n; intended for n <= 16.
-    """
+    Berry-Bordat-Cogis closure (IJFCS 11(3), 2000): the separators are the
+    neighborhoods of the components of g - N[v] for each vertex v, closed
+    under taking those of g - (S | N(x)) for x in a separator S.  There can
+    be exponentially many, so past ``budget`` of them SearchBudgetExceeded
+    is raised."""
+    rows = g.rows
     full = (1 << g.n) - 1
+    found: list[int] = []
     seen: set[int] = set()
-    out: list[frozenset[int]] = []
-    for sub in range(1, full + 1):
-        if g.component_of(sub & -sub, sub) != sub:
-            continue
-        nb = 0
-        for u in iter_bits(sub):
-            nb |= g.rows[u]
-        sep = nb & ~sub
-        if not sep or (sub | sep) == full or sep in seen:
-            continue
-        seen.add(sep)
-        rest = full & ~sep
-        fulls = 0
-        for comp in g.component_masks(rest):
+
+    def collect(removed: int) -> None:
+        for comp in g.component_masks(full & ~removed):
             border = 0
             for u in iter_bits(comp):
-                border |= g.rows[u]
-            if border & sep == sep:
-                fulls += 1
-                if fulls >= 2:
-                    break
-        if fulls >= 2:
-            out.append(frozenset(iter_bits(sep)))
+                border |= rows[u]
+            sep = border & ~comp
+            if sep and sep not in seen:
+                seen.add(sep)
+                found.append(sep)
+                if budget is not None and len(found) > budget:
+                    raise SearchBudgetExceeded(len(found))
+
+    for v in range(g.n):
+        collect(rows[v] | 1 << v)
+    for sep in found:  # grows while it is walked
+        for x in iter_bits(sep):
+            collect(sep | rows[x])
+    out = [frozenset(iter_bits(sep)) for sep in found]
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
 
 
-def _candidate_cutsets(g: Graph, strategy: str, max_cutset: int) -> Iterator[frozenset[int]]:
-    if strategy == "auto":
-        strategy = "minimal-separators" if g.n <= 16 else "subsets"
-    if strategy == "minimal-separators":
-        yield from minimal_separators(g)
+def _candidate_partitions(g: Graph, cut: int) -> Iterator[tuple[frozenset[int], ...]]:
+    """The partitions of ``cut`` that can be harmonious, in restricted-growth
+    order.  Parts are stable, and pairwise complete when three or more, so
+    a bipartite G[cut] offers its two-colorings, a complete multipartite
+    one its parts (the classes of non-adjacency), and any other none."""
+    rows = g.rows
+    colorings = []  # per component of G[cut]: its two color classes
+    remaining = cut
+    while remaining:
+        classes, layer, side = [0, 0], remaining & -remaining, 0
+        while layer:
+            classes[side] |= layer
+            side ^= 1
+            reach = 0
+            for u in iter_bits(layer):
+                reach |= rows[u]
+            if reach & layer:  # an edge inside a BFS layer closes an odd cycle
+                break
+            layer = reach & cut & ~(classes[0] | classes[1])
+        if layer:
+            break
+        colorings.append(classes)
+        remaining &= ~(classes[0] | classes[1])
+    else:
+        # the smallest vertex keeps part 0; each other component may flip
+        for flips in product((False, True), repeat=len(colorings) - 1):
+            parts = [0, 0]
+            for (own, other), flip in zip(colorings, (False,) + flips):
+                parts[flip] |= own
+                parts[not flip] |= other
+            yield tuple(frozenset(iter_bits(m)) for m in parts if m)
         return
-    if strategy not in ("subsets", "all"):
-        raise ValueError(f"unknown candidate strategy {strategy!r}")
-    # smallest first; "all" reaches every subset that can disconnect g
-    top = g.n - 2 if strategy == "all" else max_cutset
-    for size in range(1, top + 1):
-        for combo in combinations(range(g.n), size):
-            yield frozenset(combo)
+    # complete multipartite iff the distinct non-neighborhoods are disjoint: the parts
+    parts = sorted({cut & ~rows[u] for u in iter_bits(cut)}, key=lambda m: m & -m)
+    if sum(part.bit_count() for part in parts) == cut.bit_count():
+        yield tuple(frozenset(iter_bits(part)) for part in parts)
 
 
-def _stable_partitions(g: Graph, vertices: list[int], max_parts: int) -> Iterator[tuple[frozenset[int], ...]]:
-    """All partitions of ``vertices`` into stable parts, canonically ordered
-    (restricted growth), pruned to ``max_parts``."""
-    n = len(vertices)
-    assignment = [0] * n
-
-    def rec(idx: int, used: int) -> Iterator[tuple[frozenset[int], ...]]:
-        if idx == n:
-            parts = [[] for _ in range(used)]
-            for pos, lab in enumerate(assignment[:n]):
-                parts[lab].append(vertices[pos])
-            yield tuple(frozenset(p) for p in parts)
-            return
-        v = vertices[idx]
-        for lab in range(min(used + 1, max_parts)):
-            ok = True
-            for pos in range(idx):
-                if assignment[pos] == lab and g.adjacent(v, vertices[pos]):
-                    ok = False
-                    break
-            if ok:
-                assignment[idx] = lab
-                yield from rec(idx + 1, max(used, lab + 1))
-
-    yield from rec(0, 0)
+def _shaped(g: Graph, cut: int) -> bool:
+    return next(_candidate_partitions(g, cut), None) is not None
 
 
-def find_harmonious_cutset(
-    g: Graph,
-    max_cutset: int = 4,
-    budget: int = DEFAULT_PARITY_BUDGET,
-    candidates: str = "auto",
-) -> CutsetSearchResult:
-    """Search candidate cutsets for a verifiable harmonious partition.
+def _cutset_pool(g: Graph, separators: list[frozenset[int]]) -> Iterator[int]:
+    """Every set X (as a mask) that disconnects g while G[X] is bipartite or
+    complete multipartite, each once: the shaped minimal separators in the
+    given order, then every set reached from them by adding one vertex at a
+    time while it stays shaped and disconnecting.  Shape is hereditary, and
+    such an X contains a minimal separator S of two vertices it separates;
+    every set between S and X separates them too, so a chain leads to X."""
+    full = (1 << g.n) - 1
+    masks = [mask_of(sep) for sep in separators]
+    seen = set(masks)
+    admitted = [m for m in masks if _shaped(g, m)]
+    yield from admitted
+    for base in admitted:  # grows while it is walked
+        for v in iter_bits(full & ~base):
+            cut = base | 1 << v
+            if cut in seen:
+                continue
+            seen.add(cut)
+            rest = full & ~cut
+            if rest and g.component_of(rest & -rest, rest) != rest and _shaped(g, cut):
+                admitted.append(cut)
+                yield cut
 
-    ``candidates`` picks the pool: "auto" enumerates minimal separators up to
-    16 vertices and falls back to all subsets of size <= max_cutset beyond
-    that; "all" tries every disconnecting subset (complete but exponential,
-    the right choice when a negative answer must be trusted).  Candidates are
-    tried smallest first, partitions in canonical order, so the first hit is
-    deterministic.  The parity budget is shared across the whole search.
+
+def find_harmonious_cutset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutsetSearchResult:
+    """Search every possible cutset for a verifiable harmonious partition.
+
+    The parts of a harmonious partition are stable, and pairwise complete
+    when three or more, so its cutset induces a bipartite or complete
+    multipartite graph.  The search therefore walks ``_cutset_pool``, which
+    holds every such set that disconnects g, minimal separators first, and
+    tries each set's candidate partitions in canonical order; the first hit
+    is deterministic and "none" is a certificate.  One step is spent per
+    minimal separator built, per cutset tried and per parity-search node;
+    past ``budget`` steps the answer is "inconclusive".
     """
     if not g.is_connected():
         raise ValueError("input graph must be connected")
-    omega, _ = clique_number(g)
-    max_parts = max(2, omega + 1)
-    steps_used = 0
-    exhausted = False
-    for cut in _candidate_cutsets(g, candidates, max_cutset):
-        cut_mask = mask_of(cut)
-        comps = g.component_masks((1 << g.n) - 1 & ~cut_mask)
-        if len(comps) < 2:
-            continue
-        side1 = frozenset(iter_bits(comps[0]))
-        side2 = frozenset(v for comp in comps[1:] for v in iter_bits(comp))
-        for parts in _stable_partitions(g, sorted(cut), min(max_parts, len(cut))):
-            partition = HarmoniousPartition(parts, (side1, side2))
-            remaining = budget - steps_used
-            if remaining <= 0:
-                return CutsetSearchResult("inconclusive", None, steps_used)
-            verdict = verify_harmonious(g, partition, remaining)
-            steps_used += verdict.steps
+    try:
+        separators = minimal_separators(g, budget)
+    except SearchBudgetExceeded as exc:
+        return CutsetSearchResult("inconclusive", None, exc.steps)
+    steps = len(separators)
+    full = (1 << g.n) - 1
+    for cut in _cutset_pool(g, separators):
+        steps += 1
+        if steps > budget:
+            return CutsetSearchResult("inconclusive", None, steps)
+        rest = full & ~cut
+        first = g.component_of(rest & -rest, rest)
+        sides = (frozenset(iter_bits(first)), frozenset(iter_bits(rest & ~first)))
+        for parts in _candidate_partitions(g, cut):
+            partition = HarmoniousPartition(parts, sides)
+            verdict = verify_harmonious(g, partition, budget - steps)
+            steps += verdict.steps
             if verdict.status == "yes":
-                return CutsetSearchResult("found", partition, steps_used)
+                return CutsetSearchResult("found", partition, steps)
             if verdict.status == "inconclusive":
-                exhausted = True
-                break
-        if exhausted:
-            return CutsetSearchResult("inconclusive", None, steps_used)
-    return CutsetSearchResult("none", None, steps_used)
+                return CutsetSearchResult("inconclusive", None, steps)
+    return CutsetSearchResult("none", None, steps)
 
 
 # ---------------------------------------------------------------------------

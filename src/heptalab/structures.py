@@ -28,6 +28,8 @@ from typing import Iterable
 from .detect import c7_complement, find_induced_embedding, iter_induced_embeddings
 from .graph import Graph, iter_bits, mask_of
 
+HEPTAGRAM_EXHAUSTIVE_MAX_N = 12  # recognize_heptagram_type's None is exact up to here
+
 
 class GenerationError(ValueError):
     """Requested instance shape violates a class rule (named in ``rule``)."""
@@ -651,9 +653,9 @@ def recognize_heptagram_type(g: Graph) -> HeptagramTypeWitness | None:
     vertex set: its acceptance test is symmetric under the antihole's
     automorphisms, and the orientation sweep downstream restores every
     index alignment, so relabeled seeds are redundant restarts.  For
-    n <= 12 an exhaustive assignment of leftover vertices backs up the
-    greedy pass (there the seed labeling pins the alignment, so all
-    labelings are kept).
+    n <= HEPTAGRAM_EXHAUSTIVE_MAX_N an exhaustive assignment of leftover
+    vertices backs up the greedy pass (there the seed labeling pins the
+    alignment, so all labelings are kept), so only there is None exact.
     """
     if g.n < 7:
         return None
@@ -683,7 +685,7 @@ def recognize_heptagram_type(g: Graph) -> HeptagramTypeWitness | None:
         found = _orient_heptagram_type(g, w.parts, groups)
         if found is not None:
             return found
-    if g.n <= 12:
+    if g.n <= HEPTAGRAM_EXHAUSTIVE_MAX_N:
         return _recognize_heptagram_type_exhaustive(g)
     return None
 

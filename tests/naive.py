@@ -266,3 +266,148 @@ def nonisomorphic_by_dedupe(n: int) -> tuple[Graph, ...]:
             cand = canonical_by_placement(base.with_vertex(neighbor_mask))
             seen.setdefault(to_graph6(cand), cand)
     return tuple(seen[key] for key in sorted(seen))
+
+
+# ---------------------------------------------------------------------------
+# separators and harmonious cutsets, by subset scans over plain bitmasks
+# ---------------------------------------------------------------------------
+
+
+def _adjacency(g: Graph) -> list[int]:
+    return [sum(1 << v for v in range(g.n) if g.adjacent(u, v)) for u in range(g.n)]
+
+
+def _bits(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _components(adj: list[int], within: int) -> list[int]:
+    comps = []
+    left = within
+    while left:
+        comp = stack = left & -left
+        while stack:
+            u = (stack & -stack).bit_length() - 1
+            stack &= stack - 1
+            new = adj[u] & within & ~comp
+            comp |= new
+            stack |= new
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
+def minimal_separators_by_subsets(g: Graph) -> list[frozenset[int]]:
+    """Every nonempty vertex set with at least two components of its removal
+    adjacent to all of it, sorted by (size, members)."""
+    adj = _adjacency(g)
+    full = (1 << g.n) - 1
+    out = []
+    for sep in range(1, full + 1):
+        fulls = 0
+        for comp in _components(adj, full & ~sep):
+            border = 0
+            for u in _bits(comp):
+                border |= adj[u]
+            fulls += border & sep == sep
+        if fulls >= 2:
+            out.append(frozenset(_bits(sep)))
+    out.sort(key=lambda s: (len(s), sorted(s)))
+    return out
+
+
+def _bipartite_within(adj: list[int], mask: int) -> bool:
+    side: dict[int, int] = {}
+    for start in _bits(mask):
+        if start in side:
+            continue
+        side[start] = 0
+        todo = [start]
+        while todo:
+            u = todo.pop()
+            for v in _bits(adj[u] & mask):
+                if v not in side:
+                    side[v] = 1 - side[u]
+                    todo.append(v)
+                elif side[v] == side[u]:
+                    return False
+    return True
+
+
+def _complete_multipartite_within(adj: list[int], mask: int) -> bool:
+    """Non-adjacency is transitive on ``mask``."""
+    vs = _bits(mask)
+    return not any(
+        a != c and not adj[a] >> b & 1 and not adj[b] >> c & 1 and adj[a] >> c & 1
+        for a in vs
+        for b in vs
+        for c in vs
+        if a != b and b != c
+    )
+
+
+def is_shaped(g: Graph, cut) -> bool:
+    """The cutset induces a bipartite or a complete multipartite graph."""
+    adj = _adjacency(g)
+    mask = sum(1 << v for v in cut)
+    return _bipartite_within(adj, mask) or _complete_multipartite_within(adj, mask)
+
+
+def shaped_cutsets_by_subsets(g: Graph) -> set[int]:
+    """Every vertex set (as a mask) whose removal leaves at least two
+    components and that induces a bipartite or complete multipartite graph."""
+    adj = _adjacency(g)
+    full = (1 << g.n) - 1
+    return {
+        cut
+        for cut in range(1, full + 1)
+        if len(_components(adj, full & ~cut)) >= 2
+        and (_bipartite_within(adj, cut) or _complete_multipartite_within(adj, cut))
+    }
+
+
+def _set_partitions(items: list[int]):
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for sub in _set_partitions(rest):
+        yield [[head]] + sub
+        for i in range(len(sub)):
+            yield sub[:i] + [[head] + sub[i]] + sub[i + 1 :]
+
+
+def harmonious_partition_by_subsets(g: Graph) -> tuple[frozenset[int], ...] | None:
+    """The first harmonious partition of a disconnecting vertex set, by
+    subsets in mask order and set partitions: stable parts, pairwise
+    complete when three or more, and every induced path between two cutset
+    vertices with its interior off the cutset even when they share a part
+    and odd otherwise.  None when there is none."""
+    adj = _adjacency(g)
+    full = (1 << g.n) - 1
+    for cut in range(1, full + 1):
+        if len(_components(adj, full & ~cut)) < 2:
+            continue
+        vs = _bits(cut)
+        outside = set(_bits(full & ~cut))
+        parities = {
+            (a, b): {length % 2 for length in induced_path_lengths(g, a, b, outside)}
+            for a, b in combinations(vs, 2)
+        }
+        if any(len(seen) == 2 for seen in parities.values()):
+            continue  # no partition suits a pair joined by paths of both parities
+        for parts in _set_partitions(vs):
+            part_of = {v: i for i, part in enumerate(parts) for v in part}
+            if len(parts) >= 3 and any(
+                not adj[a] >> b & 1
+                for p, q in combinations(parts, 2)
+                for a in p
+                for b in q
+            ):
+                continue
+            if all(
+                seen <= ({0} if part_of[a] == part_of[b] else {1})
+                for (a, b), seen in parities.items()
+            ):
+                return tuple(frozenset(p) for p in parts)
+    return None

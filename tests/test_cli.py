@@ -27,6 +27,15 @@ P4_G6 = to_graph6(Graph.path(4)).decode("ascii")
 # a valid line, a line holding one non-ASCII character (two UTF-8 bytes), and
 # another valid line
 NON_ASCII_FILE = b"Bw\n\xc3\xa9\nDhc\n"
+# heptagram-type class members on 16 and 17 vertices that the greedy
+# heptagram-type recognizer misses; none has a harmonious cutset
+RECOGNIZER_MISSES = (
+    "PidiPgDD_k?gd`}naoLlx@OS",
+    "OlSt\\PRGuzcPzLJLCXXCU",
+    "OtTRyd|_kNSijUSjwStI`",
+    "Pd~p^FaFyfTbSxjEtbOz\\wec",
+    "PufJz@s^CnewKOYJeiKFn^AC",
+)
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -342,6 +351,19 @@ class TestVerify:
         (v,) = json_lines(out)
         assert v["population"] == 1 and v["violations"] == []
 
+    def test_dichotomy_recognizer_miss_is_inconclusive(self, capsys, tmp_path):
+        # an exact "no cutset" with both recognizers answering None is a
+        # violation only where the heptagram-type recognizer is exhaustive
+        path = tmp_path / "in.g6"
+        path.write_text("\n".join(RECOGNIZER_MISSES) + "\n")
+        code, out, _ = run_cli(
+            capsys, ["verify", str(path), "--theorem", "t2.3", "--no-timings"]
+        )
+        assert code == 2
+        (v,) = json_lines(out)
+        assert v["population"] == 5 and v["inconclusive"] == 5
+        assert v["violations"] == []
+
     def test_seed_recorded(self, capsys, tmp_path):
         path = tmp_path / "in.g6"
         path.write_text(C5_G6 + "\n")
@@ -503,9 +525,7 @@ class TestDecompose:
     def test_antihole_certified_none(self, capsys, tmp_path):
         path = tmp_path / "in.g6"
         path.write_text(C7BAR_G6 + "\n")
-        code, out, _ = run_cli(
-            capsys, ["decompose", str(path), "--candidates", "all"]
-        )
+        code, out, _ = run_cli(capsys, ["decompose", str(path)])
         assert code == 0
         (rec,) = json_lines(out)
         assert rec["status"] == "none" and rec["partition"] is None

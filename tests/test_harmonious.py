@@ -1,10 +1,14 @@
 import random
 
+import networkx as nx
 import pytest
 
+from heptalab import harmonious
 from heptalab.coloring import Coloring, chromatic_number_exact, greedy_coloring, is_proper
-from heptalab.detect import find_odd_hole
+from heptalab.corpus import all_graphs_up_to
+from heptalab.detect import c7_complement, find_full_house, find_odd_hole
 from heptalab.graph import Graph, induced_subgraph
+from heptalab.detect import SearchBudgetExceeded
 from heptalab.harmonious import (
     HarmoniousPartition,
     MergeError,
@@ -15,8 +19,30 @@ from heptalab.harmonious import (
     verify_harmonious,
 )
 
-from .naive import induced_path_lengths
+from .naive import (
+    from_networkx,
+    harmonious_partition_by_subsets,
+    induced_path_lengths,
+    is_shaped,
+    minimal_separators_by_subsets,
+    shaped_cutsets_by_subsets,
+)
 from .planted import planted_instances
+
+
+def random_connected_graphs(count: int, seed: int) -> list[Graph]:
+    """Seeded connected G(n, p) graphs with 6 <= n <= 12."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(6, 12)
+        p = rng.choice((0.2, 0.3, 0.5))
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        if g.is_connected():
+            out.append(g)
+    return out
 
 
 def side_coloring(g: Graph, p: HarmoniousPartition, side: int, k: int) -> Coloring:
@@ -27,6 +53,20 @@ def side_coloring(g: Graph, p: HarmoniousPartition, side: int, k: int) -> Colori
     base = chromatic_number_exact(sub).coloring
     assert base.k <= k
     return Coloring({mapping[i]: c for i, c in base.colors.items()}, k)
+
+
+def record_pool(monkeypatch) -> list[int]:
+    """The cutsets the search takes from its pool, recorded as it runs."""
+    tried: list[int] = []
+    pool = harmonious._cutset_pool
+
+    def recording(g, separators):
+        for cut in pool(g, separators):
+            tried.append(cut)
+            yield cut
+
+    monkeypatch.setattr(harmonious, "_cutset_pool", recording)
+    return tried
 
 
 class TestVerify:
@@ -122,6 +162,47 @@ class TestSeparators:
     def test_clique_has_none(self):
         assert minimal_separators(Graph.complete(4)) == []
 
+    def test_atlas_matches_subset_scan(self):
+        # every graph on at most 7 vertices, disconnected ones included
+        for h in nx.graph_atlas_g():
+            g = from_networkx(h)
+            assert minimal_separators(g) == minimal_separators_by_subsets(g), g
+
+    def test_random_matches_subset_scan(self):
+        for g in random_connected_graphs(30, seed=11):
+            assert minimal_separators(g) == minimal_separators_by_subsets(g), g
+
+    def test_budget_caps_separators_found(self):
+        g = Graph.cycle(8)  # its minimal separators: the 20 non-adjacent pairs
+        count = len(minimal_separators(g))
+        assert len(minimal_separators(g, budget=count)) == count
+        with pytest.raises(SearchBudgetExceeded):
+            minimal_separators(g, budget=count - 1)
+
+
+class TestPool:
+    def test_equals_subset_scan(self):
+        # adding vertices only above the largest member, with a seen-set
+        # prune, misses sets here; adding every vertex to every set does not
+        for g in random_connected_graphs(30, seed=5):
+            pool = list(harmonious._cutset_pool(g, minimal_separators(g)))
+            assert len(pool) == len(set(pool)), g
+            assert set(pool) == shaped_cutsets_by_subsets(g), g
+
+    def test_shaped_separators_come_first(self):
+        g = Graph.cycle(6)
+        separators = minimal_separators(g)
+        pool = list(harmonious._cutset_pool(g, separators))
+        assert pool[: len(separators)] == [sum(1 << v for v in s) for s in separators]
+        assert len(pool) > len(separators)
+
+    def test_accepted_cutsets_are_shaped(self):
+        for inst in planted_instances(40, seed=31):
+            assert verify_harmonious(inst.graph, inst.partition).status == "yes"
+            assert is_shaped(inst.graph, inst.partition.cutset), inst.family
+            res = find_harmonious_cutset(inst.graph)
+            assert is_shaped(inst.graph, res.partition.cutset), inst.family
+
 
 class TestSearch:
     def test_clique_none(self):
@@ -149,25 +230,39 @@ class TestSearch:
             find_harmonious_cutset(Graph.empty(3))
 
     def test_exhaustive_candidates_on_c7_complement(self):
-        from heptalab.detect import c7_complement
+        assert find_harmonious_cutset(c7_complement()).status == "none"
 
-        assert find_harmonious_cutset(c7_complement(), candidates="all").status == "none"
-
-    def test_candidate_pools_smallest_first(self):
-        from itertools import combinations, islice
-
-        from heptalab.harmonious import _candidate_cutsets
-
-        g = Graph.cycle(6)
-        every = [frozenset(c) for k in range(1, 5) for c in combinations(range(6), k)]
-        assert list(_candidate_cutsets(g, "all", 2)) == every  # sizes 1..n-2
-        assert list(_candidate_cutsets(g, "subsets", 2)) == every[:6 + 15]
-        # the pool is lazy: the first candidates of a large graph come at once
-        big = Graph.cycle(60)
-        assert list(islice(_candidate_cutsets(big, "all", 4), 2)) == [
-            frozenset({0}),
-            frozenset({1}),
+    def test_status_matches_subset_search_on_small_members(self):
+        members = [
+            g
+            for g in all_graphs_up_to(7)
+            if g.is_connected() and find_odd_hole(g) is None and find_full_house(g) is None
         ]
+        statuses = set()
+        for g in members:
+            expected = harmonious_partition_by_subsets(g)
+            if expected is not None:
+                assert is_shaped(g, frozenset().union(*expected)), g
+            res = find_harmonious_cutset(g)
+            assert res.status == ("none" if expected is None else "found"), g
+            statuses.add(res.status)
+        assert statuses == {"found", "none"}
+
+    def test_budget_runs_out_while_separators_are_built(self, monkeypatch):
+        g = c7_complement()
+        tried = record_pool(monkeypatch)
+        res = find_harmonious_cutset(g, budget=len(minimal_separators(g)) - 1)
+        assert res.status == "inconclusive" and res.partition is None
+        assert tried == []
+
+    def test_budget_runs_out_in_the_closure(self, monkeypatch):
+        g = Graph.cycle(5)  # no harmonious cutset; 5 separators, 10 cutsets
+        separators = minimal_separators(g)
+        done = find_harmonious_cutset(g)
+        tried = record_pool(monkeypatch)
+        res = find_harmonious_cutset(g, budget=done.steps - 1)
+        assert res.status == "inconclusive" and res.steps == done.steps
+        assert len(tried) > len(separators)  # past the separators
 
 
 class TestMerge:
