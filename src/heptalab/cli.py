@@ -23,6 +23,7 @@ from . import __version__
 from .coloring import MAX_EXACT_VERTICES, chromatic_number_exact
 from .corpus import MAX_ENUMERATION_N, all_graphs_up_to
 from .detect import (
+    DEFAULT_BUDGET,
     SearchBudgetExceeded,
     clique_number,
     find_full_house,
@@ -30,9 +31,8 @@ from .detect import (
     has_c7_complement,
 )
 from .graph import Graph, Graph6Error, from_graph6, to_graph6
-from .harmonious import DEFAULT_BUDGET, find_harmonious_cutset
+from .harmonious import find_harmonious_cutset
 from .structures import (
-    HEPTAGRAM_EXHAUSTIVE_MAX_N,
     GenerationError,
     generate_heptagram_type,
     generate_t11_type,
@@ -156,7 +156,11 @@ def analyze_graph(
             found["harmonious_status"] = "skipped"
             found["harmonious"] = None
         t11 = recognize_t11_type(g)
-        hepta = recognize_heptagram_type(g)
+        try:
+            hepta = recognize_heptagram_type(g)
+        except SearchBudgetExceeded:
+            hepta = None
+            notes.append("heptagram-type search hit its budget")
         found["t11_type"] = t11.to_json_dict() if t11 else None
         found["heptagram_type"] = hepta.to_json_dict() if hepta else None
         report["structures"] = found
@@ -224,10 +228,11 @@ def record_outcome(rec: dict, theorem: str) -> str:
 def dichotomy_outcome(g: Graph, rec: dict, budget: int) -> str:
     """Outcome under the structural dichotomy: connected class members with
     the 7-vertex antihole and no harmonious cutset must be recognized as one
-    of the two structured classes.  The cutset search is exact within
-    ``budget``, the heptagram-type recognizer only up to
-    HEPTAGRAM_EXHAUSTIVE_MAX_N vertices: above that, a graph that neither
-    recognizer accepts is inconclusive, not a violation."""
+    of the two structured classes.  The cutset search and the
+    heptagram-type recognizer are exact, each within ``budget`` steps, and
+    the T11-type recognizer is exact outright: a graph that neither
+    recognizer accepts is a violation, and an exhausted budget makes the
+    outcome inconclusive."""
     if not rec["connected"]:
         return "filtered"
     if rec["odd_hole_free"] is None:
@@ -241,9 +246,12 @@ def dichotomy_outcome(g: Graph, rec: dict, budget: int) -> str:
         return "filtered"
     if res.status == "inconclusive":
         return "inconclusive"
-    if recognize_t11_type(g) is not None or recognize_heptagram_type(g) is not None:
+    if recognize_t11_type(g) is not None:
         return "pass"
-    return "violation" if g.n <= HEPTAGRAM_EXHAUSTIVE_MAX_N else "inconclusive"
+    try:
+        return "violation" if recognize_heptagram_type(g, budget) is None else "pass"
+    except SearchBudgetExceeded:
+        return "inconclusive"
 
 
 def verdict_from_records(
@@ -534,7 +542,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 WORKERS_HELP = "worker processes (default: $HEPTALAB_WORKERS, else 1)"
-BUDGET_HELP = "search steps allowed per harmonious-cutset search"
+BUDGET_HELP = "search steps allowed per harmonious-cutset or heptagram-type search"
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -179,59 +179,26 @@ def four_color_t11(g: Graph, witness) -> Coloring:
 
 
 _RING_CLASS = (0, 1, 2, 0, 1, 2, 3)  # ring part -> color class, pairs 3 apart share
+# outer group i -> color class, missing the classes of ring parts i, i+3, i+4
+# and of outer group i+1 (checked in the test suite)
+_OUTER_CLASS = (2, 0, 1, 2, 3, 0, 1)
 
 
 def four_color_heptagram_type(g: Graph, witness) -> Coloring:
     """Proper 4-coloring of a verified heptagram-type witness.
 
-    Ring classes three apart are anticomplete, which fixes the four ring
-    color classes.  Each outer class is then placed in one of its allowed
-    classes by a small backtracking search over the seven outer groups; if
-    that ever fails, an exact 4-coloring search is the fallback.
+    Ring parts three apart are anticomplete, which fixes the four ring
+    color classes.  An outer group sees only ring parts i, i+3, i+4 and the
+    outer groups beside it, so the fixed outer table completes the coloring.
     """
     from .structures import verify_heptagram_type
 
     verdict = verify_heptagram_type(g, witness)
     if not verdict.ok:
         raise ValueError(f"witness failed verification: rule {verdict.rule}")
-
     colors: dict[int, int] = {}
-    for i, part in enumerate(witness.ring):
-        for v in part:
-            colors[v] = _RING_CLASS[i]
-
-    groups = [i for i in range(7) if witness.outer[i]]
-    allowed: list[list[int]] = []
-    for i in groups:
-        banned = {_RING_CLASS[i], _RING_CLASS[(i + 3) % 7], _RING_CLASS[(i - 3) % 7]}
-        allowed.append([c for c in range(4) if c not in banned])
-    choice: dict[int, int] = {}
-
-    def place(idx: int) -> bool:
-        if idx == len(groups):
-            return True
-        i = groups[idx]
-        for c in allowed[idx]:
-            # outer classes one apart are complete to each other
-            if any(choice.get(j) == c for j in ((i - 1) % 7, (i + 1) % 7)):
-                continue
-            choice[i] = c
-            if place(idx + 1):
-                return True
-            del choice[i]
-        return False
-
-    if place(0):
-        for i in groups:
-            for v in witness.outer[i]:
-                colors[v] = choice[i]
-        return Coloring(colors, 4)
-
-    # fallback: exact search, reporting the clique number for diagnosis
-    omega, clique = clique_number(g)
-    found, _ = _try_k_coloring(g, 4, clique)
-    if found is None:
-        raise ValueError(
-            f"no 4-coloring found for claimed heptagram-type graph (clique number {omega})"
-        )
-    return Coloring(found, 4)
+    for table, groups in ((_RING_CLASS, witness.ring), (_OUTER_CLASS, witness.outer)):
+        for i, part in enumerate(groups):
+            for v in part:
+                colors[v] = table[i]
+    return Coloring(colors, 4)

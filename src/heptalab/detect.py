@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .graph import Graph, induced_subgraph, iter_bits, mask_of
 
 MAX_PATTERN_SIZE = 12
+DEFAULT_BUDGET = 10_000_000  # search steps of a budgeted search unless told otherwise
 
 
 class SearchBudgetExceeded(RuntimeError):

@@ -21,10 +21,8 @@ from itertools import combinations, product
 from typing import Callable, Iterator
 
 from .coloring import Coloring
-from .detect import SearchBudgetExceeded
+from .detect import DEFAULT_BUDGET, SearchBudgetExceeded
 from .graph import Graph, iter_bits, mask_of
-
-DEFAULT_BUDGET = 10_000_000
 
 
 class MergeError(RuntimeError):

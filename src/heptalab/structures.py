@@ -14,9 +14,9 @@ The toolkit works with three related part systems:
 Rule identifiers are opaque labels; each verifier's docstring states what
 the numbered rules check.  Everything here is pure and deterministic:
 verifiers scan exhaustively, the 11-ring recognizer reads its witness off
-one core embedding, the 7-ring recognizer grows witnesses greedily from a
-seeded embedding with an exhaustive fallback at small sizes, and generators
-build instances part by part.
+one core embedding, the full-class recognizer runs one budgeted,
+forward-checked backtracking search from each antihole embedding, and
+generators build instances part by part.
 """
 
 from __future__ import annotations
@@ -25,10 +25,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .detect import c7_complement, find_induced_embedding, iter_induced_embeddings
+from .detect import (
+    DEFAULT_BUDGET,
+    SearchBudgetExceeded,
+    c7_complement,
+    find_induced_embedding,
+    iter_induced_embeddings,
+)
 from .graph import Graph, iter_bits, mask_of
-
-HEPTAGRAM_EXHAUSTIVE_MAX_N = 12  # recognize_heptagram_type's None is exact up to here
 
 
 class GenerationError(ValueError):
@@ -600,140 +604,112 @@ def recognize_t11_type(g: Graph) -> T11Witness | None:
     return w.canonical() if verify_t11_type(g, w).ok else None
 
 
-def _grow_heptagram(g: Graph, seed: tuple[int, ...]) -> HeptagramWitness:
-    """Greedy fixpoint growth: each unused vertex joins the first part where
-    the ring conditions still verify; passes repeat until stable.
-
-    Full reverification is attempted only for placements that pass the two
-    mask-checkable necessary conditions (stability within the part,
-    anticompleteness to the parts at offsets 3 and 4)."""
-    parts = [{seed[i]} for i in range(7)]
-    masks = [1 << seed[i] for i in range(7)]
-    used = set(seed)
-    while True:
-        added = False
-        for v in range(g.n):
-            if v in used:
-                continue
-            row = g.rows[v]
-            for i in range(7):
-                if row & (masks[i] | masks[(i + 3) % 7] | masks[(i + 4) % 7]):
-                    continue
-                parts[i].add(v)
-                w = HeptagramWitness(tuple(frozenset(p) for p in parts))
-                if verify_heptagram(g, w).ok:
-                    masks[i] |= 1 << v
-                    used.add(v)
-                    added = True
-                    break
-                parts[i].discard(v)
-        if not added:
-            return HeptagramWitness(tuple(frozenset(p) for p in parts))
+def _slot_relation(s: int, t: int) -> bool | None:
+    """What ``verify_heptagram_type`` demands of every vertex pair between
+    slots s and t (0-6 ring parts, 7-13 outer groups 0-6): True adjacent,
+    False non-adjacent, None either."""
+    if s > t:
+        s, t = t, s
+    d = min((t - s) % 7, (s - t) % 7)
+    if t < 7:  # two ring parts
+        if d in (0, 3):
+            return False
+        return True if (s, t) in _COMPLETE_PAIRS or (t, s) in _COMPLETE_PAIRS else None
+    if s >= 7:  # two outer groups
+        return d == 1
+    return None if (s - t) % 7 in (0, 3, 4) else False  # ring part s, group t - 7
 
 
-def _orient_heptagram_type(
-    g: Graph, ring: tuple[frozenset[int], ...], groups: list[set[int]]
+# per slot s: the slots open to a neighbor, and to a non-neighbor, of a vertex in s
+_NEIGHBOR_SLOTS = tuple(
+    mask_of(t for t in range(14) if _slot_relation(s, t) is not False) for s in range(14)
+)
+_STRANGER_SLOTS = tuple(
+    mask_of(t for t in range(14) if _slot_relation(s, t) is not True) for s in range(14)
+)
+
+
+def _narrow(g: Graph, domains: dict[int, int], v: int, s: int) -> dict[int, int] | None:
+    """The other vertices' slot domains once v takes slot s; None when one
+    of them empties."""
+    row = g.rows[v]
+    near, far = _NEIGHBOR_SLOTS[s], _STRANGER_SLOTS[s]
+    out = {}
+    for u, d in domains.items():
+        if u != v:
+            d &= near if row >> u & 1 else far
+            if not d:
+                return None
+            out[u] = d
+    return out
+
+
+def recognize_heptagram_type(
+    g: Graph, budget: int = DEFAULT_BUDGET
 ) -> HeptagramTypeWitness | None:
-    for sigma in HeptagramWitness._MAPS:
-        cand = HeptagramTypeWitness(
-            tuple(ring[sigma[j]] for j in range(7)),
-            tuple(frozenset(groups[sigma[j]]) for j in range(7)),
-        )
-        if verify_heptagram_type(g, cand).ok:
-            return cand.canonical()
-    return None
+    """Recover a full-class witness, or None; exact within ``budget``.
 
+    For each embedding of the 7-vertex antihole, embedding vertex i is
+    pinned to ring part i and every other vertex gets one of the 14 slots
+    (ring parts and outer groups) by backtracking.  Each slot pair has a
+    required relation (``_slot_relation``: stable slots, the complete and
+    anticomplete ring pairs, outer groups seeing no ring part at +-1 or +-2,
+    consecutive outer groups complete, the rest anticomplete), so a placed
+    vertex narrows the slot domain of every other vertex.  The search
+    branches on a vertex with the fewest slots left, prunes on an empty
+    domain, and runs the full verifier at each leaf; it returns the first
+    witness that passes, in canonical form.
 
-def recognize_heptagram_type(g: Graph) -> HeptagramTypeWitness | None:
-    """Recover a full-class witness, or None.
+    None is exact.  Every witness has an antihole that is a transversal of
+    its ring parts: take any v1 in part 1 and, as pairs (0, 1) and (1, 2)
+    are linked, neighbors v0 in part 0 and v2 in part 2; rule "4" makes v0
+    and v2 adjacent.  Take any edge v4v5 of the linked pair (4, 5) and any
+    v3, v6.  Every other pair at ring distance 1 or 2 is complete and pairs
+    at distance 3 are anticomplete, so i -> v_i is an embedding of the
+    antihole, and the loop below tries it.  Under that labeling the witness
+    meets every pairwise requirement, so no prune cuts it off and the
+    search reaches it (or another witness first).
 
-    Seeds a singleton ring from an embedded 7-vertex antihole, grows it
-    greedily, classifies the remainder, and tries every ring orientation
-    against the full rule set.  Growth runs once per embedded antihole
-    vertex set: its acceptance test is symmetric under the antihole's
-    automorphisms, and the orientation sweep downstream restores every
-    index alignment, so relabeled seeds are redundant restarts.  For
-    n <= HEPTAGRAM_EXHAUSTIVE_MAX_N an exhaustive assignment of leftover
-    vertices backs up the greedy pass (there the seed labeling pins the
-    alignment, so all labelings are kept), so only there is None exact.
+    One step is spent per search node; past ``budget`` steps
+    SearchBudgetExceeded is raised rather than a guess returned.
     """
+    steps = 0
+
+    def search(domains: dict[int, int]) -> HeptagramTypeWitness | None:
+        nonlocal steps
+        steps += 1
+        if steps > budget:
+            raise SearchBudgetExceeded(steps)
+        if not domains:
+            w = HeptagramTypeWitness(
+                tuple(frozenset(iter_bits(m)) for m in slots[:7]),
+                tuple(frozenset(iter_bits(m)) for m in slots[7:]),
+            )
+            return w.canonical() if verify_heptagram_type(g, w).ok else None
+        v = min(domains, key=lambda u: domains[u].bit_count())
+        for s in iter_bits(domains[v]):
+            rest = _narrow(g, domains, v, s)
+            if rest is not None:
+                slots[s] |= 1 << v
+                found = search(rest)
+                slots[s] &= ~(1 << v)
+                if found:
+                    return found
+        return None
+
     if g.n < 7:
         return None
-    pat = c7_complement()
-    seen_cores: set[frozenset[int]] = set()
-    for emb in iter_induced_embeddings(g, pat):
-        core = frozenset(emb)
-        if core in seen_cores:
-            continue
-        seen_cores.add(core)
-        w = _grow_heptagram(g, emb)
-        covered = set()
-        for p in w.parts:
-            covered |= p
-        groups: list[set[int]] = [set() for _ in range(7)]
-        ok = True
-        for v in range(g.n):
-            if v in covered:
-                continue
-            cls = classify_vertex(g, w, v)
-            if cls.kind != "y_vertex":
-                ok = False
+    for emb in iter_induced_embeddings(g, c7_complement()):
+        slots = [1 << v for v in emb] + [0] * 7
+        domains = dict.fromkeys(range(g.n), (1 << 14) - 1)
+        for i, v in enumerate(emb):
+            domains = _narrow(g, domains, v, i)
+            if domains is None:
                 break
-            groups[cls.ring_index].add(v)
-        if not ok:
-            continue
-        found = _orient_heptagram_type(g, w.parts, groups)
-        if found is not None:
-            return found
-    if g.n <= HEPTAGRAM_EXHAUSTIVE_MAX_N:
-        return _recognize_heptagram_type_exhaustive(g)
-    return None
-
-
-def _recognize_heptagram_type_exhaustive(g: Graph) -> HeptagramTypeWitness | None:
-    pat = c7_complement()
-    for emb in iter_induced_embeddings(g, pat):
-        rest = sorted(set(range(g.n)) - set(emb))
-        ring0 = [1 << emb[i] for i in range(7)]
-
-        def assign(idx: int, ring: list[int], outer: list[int]) -> HeptagramTypeWitness | None:
-            if idx == len(rest):
-                cand = HeptagramTypeWitness(
-                    tuple(frozenset(iter_bits(m)) for m in ring),
-                    tuple(frozenset(iter_bits(m)) for m in outer),
-                )
-                if verify_heptagram_type(g, cand).ok:
-                    return cand.canonical()
-                return None
-            v = rest[idx]
-            row = g.rows[v]
-            for j in range(7):
-                # quick feasibility: stability and the hard anticompleteness
-                if row & ring[j] or row & ring[(j + 3) % 7] or row & ring[(j + 4) % 7]:
-                    continue
-                ring[j] |= 1 << v
-                found = assign(idx + 1, ring, outer)
-                ring[j] &= ~(1 << v)
-                if found:
-                    return found
-            near_ok = [
-                j
-                for j in range(7)
-                if not row & outer[j]
-                and not row
-                & (ring[(j + 1) % 7] | ring[(j + 2) % 7] | ring[(j + 5) % 7] | ring[(j + 6) % 7])
-            ]
-            for j in near_ok:
-                outer[j] |= 1 << v
-                found = assign(idx + 1, ring, outer)
-                outer[j] &= ~(1 << v)
-                if found:
-                    return found
-            return None
-
-        found = assign(0, ring0, [0] * 7)
-        if found:
-            return found
+        else:
+            found = search(domains)
+            if found:
+                return found
     return None
 
 

@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: plain backtracking in vertex
 order, exhaustive subset scans, and networkx round trips.  None of it shares
-code paths with the package under test.
+code paths with the package under test, except that the heptagram-type
+oracle checks its candidates with the class verifier, the class definition.
 """
 
 from functools import lru_cache
@@ -11,6 +12,7 @@ from itertools import combinations
 import networkx as nx
 
 from heptalab.graph import Graph, to_graph6
+from heptalab.structures import HeptagramTypeWitness, verify_heptagram_type
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -410,4 +412,57 @@ def harmonious_partition_by_subsets(g: Graph) -> tuple[frozenset[int], ...] | No
                 for (a, b), seen in parities.items()
             ):
                 return tuple(frozenset(p) for p in parts)
+    return None
+
+
+ANTIHOLE_7 = nx.circulant_graph(7, [1, 2])
+
+
+def heptagram_type_by_assignment(g: Graph) -> HeptagramTypeWitness | None:
+    """A canonical heptagram-type witness of g, or None, by plain search.
+
+    For every labeled induced 7-antihole (its vertex i in ring part i),
+    each leftover vertex in index order tries every ring part j with no
+    edge into parts j, j+3, j+4, then every outer group j with no edge into
+    group j or ring parts j+-1, j+-2.  Every full assignment goes to
+    ``verify_heptagram_type``; the first that passes is returned.
+    """
+    if sum(g.degree(v) >= 4 for v in range(g.n)) < 7:
+        return None  # each antihole vertex has four neighbors in the antihole
+    matcher = nx.isomorphism.GraphMatcher(to_networkx(g), ANTIHOLE_7)
+    for mapping in matcher.subgraph_isomorphisms_iter():
+        emb = sorted(mapping, key=mapping.get)
+        rest = [v for v in range(g.n) if v not in mapping]
+
+        def assign(idx: int, ring: list[int], outer: list[int]) -> HeptagramTypeWitness | None:
+            if idx == len(rest):
+                cand = HeptagramTypeWitness(
+                    tuple(frozenset(_bits(m)) for m in ring),
+                    tuple(frozenset(_bits(m)) for m in outer),
+                )
+                return cand.canonical() if verify_heptagram_type(g, cand).ok else None
+            v = rest[idx]
+            row = g.rows[v]
+            for j in range(7):
+                if row & (ring[j] | ring[(j + 3) % 7] | ring[(j + 4) % 7]):
+                    continue
+                ring[j] |= 1 << v
+                found = assign(idx + 1, ring, outer)
+                ring[j] &= ~(1 << v)
+                if found:
+                    return found
+            for j in range(7):
+                near = ring[(j + 1) % 7] | ring[(j + 2) % 7] | ring[(j + 5) % 7] | ring[(j + 6) % 7]
+                if row & (outer[j] | near):
+                    continue
+                outer[j] |= 1 << v
+                found = assign(idx + 1, ring, outer)
+                outer[j] &= ~(1 << v)
+                if found:
+                    return found
+            return None
+
+        found = assign(0, [1 << v for v in emb], [0] * 7)
+        if found:
+            return found
     return None

@@ -27,8 +27,8 @@ P4_G6 = to_graph6(Graph.path(4)).decode("ascii")
 # a valid line, a line holding one non-ASCII character (two UTF-8 bytes), and
 # another valid line
 NON_ASCII_FILE = b"Bw\n\xc3\xa9\nDhc\n"
-# heptagram-type class members on 16 and 17 vertices that the greedy
-# heptagram-type recognizer misses; none has a harmonious cutset
+# heptagram-type class members on 16 and 17 vertices that an earlier greedy
+# heptagram-type recognizer missed; none has a harmonious cutset
 RECOGNIZER_MISSES = (
     "PidiPgDD_k?gd`}naoLlx@OS",
     "OlSt\\PRGuzcPzLJLCXXCU",
@@ -307,6 +307,20 @@ class TestOnePipeline:
         assert code == 2
         assert v["population"] == 1 and v["inconclusive"] == 1
 
+    def test_heptagram_recognizer_outcomes(self, monkeypatch):
+        # an exhausted recognizer budget is a note and "inconclusive"; an
+        # exact None is a violation at any order (this graph has 17 vertices)
+        g = from_graph6(RECOGNIZER_MISSES[0])
+        rec = class_record(g)
+        real = cli.recognize_heptagram_type
+        monkeypatch.setattr(cli, "recognize_heptagram_type", lambda h, budget=0: real(h, 10))
+        report = analyze_graph(g, structures=True, with_timings=False)
+        assert report["structures"]["heptagram_type"] is None
+        assert report["notes"] == ["heptagram-type search hit its budget"]
+        assert cli.dichotomy_outcome(g, rec, 10**6) == "inconclusive"
+        monkeypatch.setattr(cli, "recognize_heptagram_type", lambda h, budget=0: None)
+        assert cli.dichotomy_outcome(g, rec, 10**6) == "violation"
+
 
 class TestVerify:
     def test_bound_enumerate_small(self, capsys):
@@ -351,17 +365,16 @@ class TestVerify:
         (v,) = json_lines(out)
         assert v["population"] == 1 and v["violations"] == []
 
-    def test_dichotomy_recognizer_miss_is_inconclusive(self, capsys, tmp_path):
-        # an exact "no cutset" with both recognizers answering None is a
-        # violation only where the heptagram-type recognizer is exhaustive
+    def test_dichotomy_former_recognizer_misses_pass(self, capsys, tmp_path):
+        # no harmonious cutset, and each is recognized as heptagram-type
         path = tmp_path / "in.g6"
         path.write_text("\n".join(RECOGNIZER_MISSES) + "\n")
         code, out, _ = run_cli(
             capsys, ["verify", str(path), "--theorem", "t2.3", "--no-timings"]
         )
-        assert code == 2
+        assert code == 0
         (v,) = json_lines(out)
-        assert v["population"] == 5 and v["inconclusive"] == 5
+        assert v["population"] == 5 and v["inconclusive"] == 0
         assert v["violations"] == []
 
     def test_seed_recorded(self, capsys, tmp_path):

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from heptalab.coloring import (
+    _OUTER_CLASS,
+    _RING_CLASS,
     Coloring,
     chromatic_number_exact,
     four_color_heptagram_type,
@@ -81,6 +83,14 @@ class TestFourColorT11:
 
 
 class TestFourColorHeptagramType:
+    def test_class_tables(self):
+        # each outer group's class avoids every class it can see: ring parts
+        # i, i+3, i+4 and the next outer group (the previous one by symmetry)
+        for i in range(7):
+            seen = {_RING_CLASS[i], _RING_CLASS[(i + 3) % 7], _RING_CLASS[(i + 4) % 7]}
+            assert _OUTER_CLASS[i] not in seen
+            assert _OUTER_CLASS[i] != _OUTER_CLASS[(i + 1) % 7]
+
     def test_all_outer_empty(self):
         g, w = generate_heptagram_type([2, 1, 1, 2, 1, 1, 1])
         c = four_color_heptagram_type(g, w)

@@ -1,9 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heptalab.detect import c7_complement, find_full_house, find_odd_hole
-from heptalab.graph import Graph, relation
+from heptalab.corpus import nonisomorphic_graphs
+from heptalab.detect import (
+    SearchBudgetExceeded,
+    c7_complement,
+    find_full_house,
+    find_odd_hole,
+)
+from heptalab.graph import Graph, from_graph6, relation
 from heptalab.structures import (
     GenerationError,
     HeptagramTypeWitness,
@@ -24,7 +32,8 @@ from heptalab.structures import (
     verify_t11_type,
 )
 
-from .naive import t11_sizes_by_twins
+from .naive import heptagram_type_by_assignment, t11_sizes_by_twins
+from .test_cli import RECOGNIZER_MISSES
 
 
 def naive_heptagram_check(g: Graph, parts) -> bool:
@@ -360,6 +369,73 @@ class TestRecognizeHeptagramType:
         h = g.relabel(perm)
         w = recognize_heptagram_type(h)
         assert w is not None and verify_heptagram_type(h, w).ok
+
+    @pytest.mark.parametrize("text", RECOGNIZER_MISSES)
+    def test_former_greedy_misses(self, text):
+        g = from_graph6(text)
+        w = recognize_heptagram_type(g)
+        assert w is not None and verify_heptagram_type(g, w).ok
+
+    def test_matches_assignment_oracle(self):
+        # every class member on 7 and 8 vertices, as listed and relabeled
+        rng = random.Random(78)
+        for n in (7, 8):
+            for g in nonisomorphic_graphs(n):
+                if find_odd_hole(g) is not None or find_full_house(g) is not None:
+                    continue
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, g.relabel(perm)):
+                    w = recognize_heptagram_type(h)
+                    assert (w is None) == (heptagram_type_by_assignment(h) is None)
+                    assert w is None or verify_heptagram_type(h, w).ok
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=7, max_size=7),
+        st.lists(st.integers(0, 2), min_size=7, max_size=7),
+        st.sampled_from(("all_complete", "custom")),
+        st.randoms(use_true_random=False),
+    )
+    def test_generated_instances_recovered(self, ring, outer, profile, rng):
+        for i in range(7):  # keep an empty group in every window of three
+            if outer[i] and outer[(i + 1) % 7]:
+                outer[(i + 2) % 7] = 0
+        try:
+            g, gen = generate_heptagram_type(ring, outer, profile=profile, rng=rng)
+        except GenerationError:
+            return  # a custom draw that never verified: no instance to test
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        w = recognize_heptagram_type(h)
+        assert w is not None and verify_heptagram_type(h, w).ok
+        # any turn or reflection of the ring, applied to both vectors at once
+        images = {
+            tuple(tuple(v[(a + s * j) % 7] for j in range(7)) for v in gen.size_vector())
+            for a in range(7)
+            for s in (1, -1)
+        }
+        assert w.size_vector() in images
+
+    def test_sparse_linked_pairs(self):
+        # custom draws with parts of two or three vertices leave the linked
+        # ring pairs short of complete, which all_complete instances never do
+        rng = random.Random(31)
+        for _ in range(20):
+            ring = [rng.randint(2, 3) for _ in range(7)]
+            g, _ = generate_heptagram_type(ring, profile="custom", rng=rng)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            w = recognize_heptagram_type(h)
+            assert w is not None and verify_heptagram_type(h, w).ok
+
+    def test_budget(self):
+        g, _ = generate_t11_type([2] * 11)
+        with pytest.raises(SearchBudgetExceeded):
+            recognize_heptagram_type(g, budget=1000)
+        assert recognize_heptagram_type(g) is None
 
 
 class TestGenerators:
