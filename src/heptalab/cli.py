@@ -109,10 +109,11 @@ def class_facts(g: Graph, *, stop_early: bool) -> tuple[dict, list[str]]:
     if stop_early and not odd_hole_free:
         return facts, notes
     facts["full_house_free"] = find_full_house(g) is None
-    facts["omega"], _ = clique_number(g)
     if g.n <= MAX_EXACT_VERTICES:
-        facts["chi"] = chromatic_number_exact(g).chi
+        res = chromatic_number_exact(g)
+        facts["omega"], facts["chi"] = len(res.clique), res.chi
     else:
+        facts["omega"], _ = clique_number(g)
         facts["chi"] = None
         notes.append(f"chromatic number skipped (n > {MAX_EXACT_VERTICES})")
     facts["has_c7_complement"] = has_c7_complement(g)

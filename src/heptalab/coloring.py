@@ -2,8 +2,10 @@
 
 ``chromatic_number_exact`` is a saturation-ordered branch and bound squeezed
 between a clique lower bound and a greedy upper bound; a value of chi is only
-reported once the (chi - 1)-search has been exhausted.  The two
-``four_color_*`` helpers color verified witnesses by fixed class patterns
+reported once the (chi - 1)-search has been exhausted, and the result keeps
+the maximum clique it started from, so callers read omega off it.  Both the
+greedy and the search track each vertex's neighbor colors as a bitmask.  The
+two ``four_color_*`` helpers color verified witnesses by fixed class patterns
 instead of searching.
 """
 
@@ -34,6 +36,7 @@ class ChiResult:
     chi: int
     coloring: Coloring
     nodes_explored: int
+    clique: tuple[int, ...]  # a maximum clique, the lower bound the search started from
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
@@ -56,23 +59,32 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
 
 
 def greedy_coloring(g: Graph) -> Coloring:
-    """Deterministic saturation-order greedy; an upper bound, not optimal."""
+    """Deterministic saturation-order greedy; an upper bound, not optimal.
+
+    Each step colors the uncolored vertex of most distinct neighbor colors,
+    then of highest degree, then of lowest index, with the lowest free color.
+    """
     n = g.n
     if n == 0:
         return Coloring({}, 0)
+    rows = g.rows
+    degree = [r.bit_count() for r in rows]
+    neighbor_colors = [0] * n  # bitmask of the colors among each vertex's neighbors
+    uncolored = list(range(n))
     colors: dict[int, int] = {}
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if u not in colors),
-            key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
+        v = uncolored[0]
+        best = (neighbor_colors[v].bit_count(), degree[v])
+        for u in uncolored:
+            key = (neighbor_colors[u].bit_count(), degree[u])
+            if key > best:  # ties keep the lowest index
+                v, best = u, key
+        uncolored.remove(v)
+        seen = neighbor_colors[v]
+        c = (~seen & (seen + 1)).bit_length() - 1  # the lowest color not seen
         colors[v] = c
-        for w in g.neighbors(v):
-            neighbor_colors[w].add(c)
+        for w in iter_bits(rows[v]):
+            neighbor_colors[w] |= 1 << c
     return Coloring(colors, max(colors.values()) + 1)
 
 
@@ -100,12 +112,12 @@ def _try_k_coloring(g: Graph, k: int, seed_clique: tuple[int, ...]) -> tuple[dic
         for u in range(n):
             if colors[u] != -1:
                 continue
-            sat = set()
+            seen = 0
             for w in iter_bits(rows[u]):
                 if colors[w] != -1:
-                    sat.add(colors[w])
-            key = (len(sat), rows[u].bit_count(), -u)
-            if best_key is None or key > best_key:
+                    seen |= 1 << colors[w]
+            key = (seen.bit_count(), rows[u].bit_count())
+            if best_key is None or key > best_key:  # ties keep the lowest index
                 best_key = key
                 best_v = u
         return best_v
@@ -145,18 +157,18 @@ def chromatic_number_exact(g: Graph) -> ChiResult:
     if g.n > MAX_EXACT_VERTICES:
         raise ValueError(f"exact coloring capped at {MAX_EXACT_VERTICES} vertices, got {g.n}")
     if g.n == 0:
-        return ChiResult(0, Coloring({}, 0), 0)
+        return ChiResult(0, Coloring({}, 0), 0, ())
     omega, witness = clique_number(g)
     upper = greedy_coloring(g)
     total_nodes = 0
     if omega == upper.k:
-        return ChiResult(omega, upper, 0)
+        return ChiResult(omega, upper, 0, witness)
     for k in range(omega, upper.k):
         found, nodes = _try_k_coloring(g, k, witness)
         total_nodes += nodes
         if found is not None:
-            return ChiResult(k, Coloring(found, k), total_nodes)
-    return ChiResult(upper.k, upper, total_nodes)
+            return ChiResult(k, Coloring(found, k), total_nodes, witness)
+    return ChiResult(upper.k, upper, total_nodes, witness)
 
 
 def four_color_t11(g: Graph, witness) -> Coloring:

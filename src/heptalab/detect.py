@@ -1,10 +1,13 @@
 """Detectors for the forbidden configurations and basic graph measures.
 
-The searches here are exact.  ``find_odd_hole`` walks induced paths with
-bitmask pruning and returns a shortest induced odd cycle of length at least
-five; ``find_full_house`` enumerates 4-cliques and scans for the attached
-fifth vertex; ``is_perfect`` runs the odd-hole search on the graph and on
-its complement.  Their deliberately simple exhaustive counterparts, used as
+The searches here are exact.  One induced-cycle search walks induced paths
+with bitmask pruning and answers both cycle questions the paper asks:
+``find_odd_hole`` returns a shortest induced odd cycle of length at least
+five, and ``has_c7_complement`` looks for an induced 7-cycle in the
+complement, which is an induced 7-vertex antihole of the graph.
+``is_perfect`` runs the odd-hole search on the graph and on its complement;
+``find_full_house`` enumerates 4-cliques and scans for the attached fifth
+vertex.  Their deliberately simple exhaustive counterparts, used as
 cross-check oracles, live in the test suite (``tests/naive.py``).
 """
 
@@ -46,54 +49,64 @@ def c7_complement() -> Graph:
     return Graph.circulant(7, (1, 2))
 
 
+def _induced_cycle(
+    rows: tuple[int, ...], n: int, shortest: int, longest: int, budget: int | None
+) -> tuple[int, ...] | None:
+    """A shortest induced cycle of odd length in ``shortest..longest``, or None.
+
+    The search enumerates induced paths from each root r using only vertices
+    above r, closing cycles back at r, and returns the first cycle of length
+    ``shortest`` at once.  A path is dropped as soon as no vertex is left
+    that could still close it: adjacent to r, clear of the interior and
+    above path[1].  A ``budget`` bounds the number of extension steps;
+    exceeding it raises SearchBudgetExceeded.
+    """
+    best: tuple[int, ...] | None = None
+    steps = 0
+    for r in range(n - shortest + 1):
+        higher = ~((1 << (r + 1)) - 1)
+        root_row = rows[r]
+        for v1 in reversed(list(iter_bits(root_row & higher))):
+            closable = root_row & ~((1 << (v1 + 1)) - 1)  # closers: r's neighbors above v1
+            if not closable:
+                continue
+            # stack entries: (path, mid_adj) where mid_adj covers neighbors
+            # of the interior vertices path[1:-1]
+            stack = [((r, v1), 0)]
+            while stack:
+                path, mid_adj = stack.pop()
+                head = path[-1]
+                k = len(path) - 1
+                if budget is not None:
+                    steps += 1
+                    if steps > budget:
+                        raise SearchBudgetExceeded(steps)
+                if k % 2 == 1 and k + 2 >= shortest:
+                    for w in iter_bits(rows[head] & closable & ~mid_adj):
+                        cycle = path + (w,)
+                        if best is None or len(cycle) < len(best):
+                            best = cycle
+                            if len(best) == shortest:
+                                return best
+                if k + 3 > (longest if best is None else len(best) - 1):
+                    continue  # any extension closes beyond the window or the best
+                new_mid = mid_adj | rows[head]
+                if not closable & ~new_mid:
+                    continue  # no vertex is left to close any extension
+                ext = rows[head] & higher & ~mid_adj & ~root_row
+                for v in iter_bits(ext):
+                    stack.append((path + (v,), new_mid))
+    return best
+
+
 def find_odd_hole(g: Graph, budget: int | None = None) -> PatternHit | None:
     """Return a shortest induced odd cycle of length >= 5, or None.
 
-    The search enumerates induced paths from each root r using only vertices
-    above r, closing cycles back at r.  A ``budget`` bounds the number of
-    extension steps; exceeding it raises SearchBudgetExceeded rather than
-    returning a possibly wrong answer.
+    A ``budget`` bounds the number of extension steps; exceeding it raises
+    SearchBudgetExceeded rather than returning a possibly wrong answer.
     """
-    n = g.n
-    if n < 5:
-        return None
-    rows = g.rows
-    best: tuple[int, ...] | None = None
-    steps = 0
-
-    for r in range(n - 4):
-        higher = ~((1 << (r + 1)) - 1)
-        root_row = rows[r]
-        # stack entries: (path, mid_adj) where mid_adj covers neighbors of
-        # the interior vertices path[1:-1]; the root is excluded so that
-        # closers (necessarily adjacent to the root) survive the mask
-        stack = [((r, v1), 0) for v1 in iter_bits(root_row & higher)]
-        while stack:
-            path, mid_adj = stack.pop()
-            head = path[-1]
-            k = len(path) - 1
-            if budget is not None:
-                steps += 1
-                if steps > budget:
-                    raise SearchBudgetExceeded(steps)
-            if k >= 3 and k % 2 == 1:
-                # close: w adjacent to head and r, above path[1], clear of the interior
-                closers = rows[head] & root_row & higher & ~mid_adj & ~((1 << (path[1] + 1)) - 1)
-                for w in iter_bits(closers):
-                    cycle = path + (w,)
-                    if best is None or len(cycle) < len(best):
-                        best = cycle
-                        if len(best) == 5:
-                            return PatternHit("odd_hole", best, 5)
-            if best is not None and k + 3 >= len(best):
-                continue  # any extension closes at length > current best
-            ext = rows[head] & higher & ~mid_adj & ~root_row
-            new_mid = mid_adj | rows[head]
-            for v in iter_bits(ext):
-                stack.append((path + (v,), new_mid))
-    if best is None:
-        return None
-    return PatternHit("odd_hole", best, len(best))
+    cycle = _induced_cycle(g.rows, g.n, 5, g.n, budget)
+    return None if cycle is None else PatternHit("odd_hole", cycle, len(cycle))
 
 
 def find_full_house(g: Graph) -> PatternHit | None:
@@ -193,17 +206,30 @@ def find_induced_pattern(g: Graph, pattern: Graph, kind: str = "custom") -> Patt
 
 
 def has_c7_complement(g: Graph) -> bool:
-    return g.n >= 7 and find_induced_embedding(g, c7_complement()) is not None
+    """True when ``g`` has an induced 7-vertex antihole, that is, when its
+    complement has an induced 7-cycle."""
+    return _induced_cycle(g.complement().rows, g.n, 7, 7, None) is not None
 
 
 def verify_hit(g: Graph, hit: PatternHit, pattern: Graph | None = None) -> bool:
-    """Re-check a reported hit from scratch against its named pattern."""
+    """Re-check a reported hit from scratch against its named pattern.
+
+    An odd hole is checked directly, so at any length: ``length`` distinct
+    vertices, odd and at least 5, inducing a connected 2-regular subgraph.
+    """
     if pattern is None:
         if hit.kind == "odd_hole":
-            if hit.length is None or hit.length % 2 == 0 or hit.length < 5:
-                return False
-            pattern = Graph.cycle(hit.length)
-        elif hit.kind == "full_house":
+            cycle = mask_of(hit.vertices)
+            return (
+                hit.length is not None
+                and hit.length % 2 == 1
+                and hit.length >= 5
+                and len(hit.vertices) == hit.length == cycle.bit_count()
+                and cycle >> g.n == 0
+                and all((g.rows[v] & cycle).bit_count() == 2 for v in hit.vertices)
+                and g.component_of(cycle & -cycle, cycle) == cycle
+            )
+        if hit.kind == "full_house":
             pattern = full_house_graph()
         elif hit.kind == "c7_complement":
             pattern = c7_complement()

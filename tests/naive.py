@@ -97,6 +97,13 @@ def odd_holes_by_isomorphism(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def has_antihole7_by_isomorphism(g: Graph) -> bool:
+    """An induced 7-cycle in the complement, found by networkx's induced
+    subgraph matcher."""
+    complement = nx.complement(to_networkx(g))
+    return nx.isomorphism.GraphMatcher(complement, nx.cycle_graph(7)).subgraph_is_isomorphic()
+
+
 def full_houses_by_degree(g: Graph) -> list[tuple[int, ...]]:
     """Every 5-subset whose induced degree sequence and clique content match
     a K4 plus a vertex pinned to one of its edges."""

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from heptalab.coloring import (
     is_proper,
 )
 from heptalab.detect import c7_complement, clique_number
-from heptalab.graph import Graph
+from heptalab.graph import Graph, from_graph6, is_clique
 from heptalab.structures import (
     HeptagramTypeWitness,
     generate_heptagram_type,
@@ -50,10 +51,28 @@ class TestExactChromatic:
                 assert is_proper(g, res.coloring)
                 assert len(set(res.coloring.colors.values())) == res.chi
                 assert clique_number(g)[0] <= res.chi
+            assert is_clique(g, res.clique) and len(res.clique) == clique_number(g)[0]
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
             chromatic_number_exact(Graph.empty(41))
+
+    def test_pinned_search_and_greedy(self):
+        # 200 seeded G(n, 1/2), n = 8-14 (random.Random(808)), with chi, the
+        # search node count and the greedy coloring (one color digit per
+        # vertex); the node count is a deterministic work counter, and it
+        # and the greedy coloring move whenever either pick order does
+        pins = Path(__file__).parent / "data" / "coloring_pins.tsv"
+        searched = 0
+        for line in pins.read_text().splitlines():
+            g6, chi, nodes, greedy = line.split("\t")
+            g = from_graph6(g6)
+            res = chromatic_number_exact(g)
+            assert (res.chi, res.nodes_explored) == (int(chi), int(nodes)), g6
+            colors = greedy_coloring(g).colors
+            assert "".join(str(colors[v]) for v in range(g.n)) == greedy, g6
+            searched += res.nodes_explored > 0
+        assert searched == 26
 
 
 class TestFourColorT11:

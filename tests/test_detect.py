@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from heptalab.detect import (
+    PatternHit,
     SearchBudgetExceeded,
     c7_complement,
     clique_number,
@@ -17,11 +18,13 @@ from heptalab.detect import (
     verify_hit,
 )
 from heptalab.graph import Graph, induced_subgraph, is_clique, to_graph6
+from heptalab.structures import generate_heptagram_type, generate_t11_type
 
 from .naive import (
     clique_number_subsets,
     from_networkx,
     full_houses_by_degree,
+    has_antihole7_by_isomorphism,
     is_bipartite,
     is_perfect_by_subgraphs,
     naive_chromatic,
@@ -80,6 +83,37 @@ class TestOddHole:
         g = Graph.circulant(16, (1, 3))
         with pytest.raises(SearchBudgetExceeded):
             find_odd_hole(g, budget=3)
+        assert find_odd_hole(g, budget=10_000) == find_odd_hole(g)
+
+    def test_long_holes_verified(self):
+        for n in (13, 15):
+            hit = find_odd_hole(Graph.cycle(n))
+            assert hit.length == n and verify_hit(Graph.cycle(n), hit)
+
+    def test_fifteen_hole_inside_larger_graph(self):
+        # C15 on scattered labels of a 20-vertex graph, plus five vertices
+        # each closing a triangle on one hole edge: the C15 is the only hole
+        rng = random.Random(15)
+        labels = rng.sample(range(20), 20)
+        hole, extra = labels[:15], labels[15:]
+        edges = [(hole[i], hole[(i + 1) % 15]) for i in range(15)]
+        edges += [(x, hole[3 * i + j]) for i, x in enumerate(extra) for j in (0, 1)]
+        g = Graph.from_edges(20, [(min(e), max(e)) for e in edges])
+        hit = find_odd_hole(g)
+        assert hit is not None and hit.length == 15
+        assert sorted(hit.vertices) == sorted(hole)
+        assert verify_hit(g, hit)
+
+    def test_chorded_even_and_split_cycles_rejected(self):
+        chorded = Graph.from_edges(13, Graph.cycle(13).edges() + [(0, 6)])
+        assert not verify_hit(chorded, PatternHit("odd_hole", tuple(range(13)), 13))
+        assert not verify_hit(Graph.cycle(14), PatternHit("odd_hole", tuple(range(14)), 14))
+        # a C5 beside a C4: nine vertices, 2-regular, but not one cycle
+        split = Graph.from_edges(9, Graph.cycle(5).edges() + [(5, 6), (6, 7), (7, 8), (5, 8)])
+        assert not verify_hit(split, PatternHit("odd_hole", tuple(range(9)), 9))
+        # a true hole with a wrong length, or with a vertex outside the graph
+        assert not verify_hit(Graph.cycle(5), PatternHit("odd_hole", tuple(range(5)), 7))
+        assert not verify_hit(Graph.cycle(5), PatternHit("odd_hole", (0, 1, 2, 3, 5), 5))
 
 
 class TestFullHouse:
@@ -136,6 +170,41 @@ class TestInducedPattern:
         assert has_c7_complement(c7_complement())
         assert has_c7_complement(T11)
         assert not has_c7_complement(Graph.cycle(7))
+        # complements of other cycles: induced cycles of the wrong length
+        for n in (5, 6, 8, 9, 11):
+            assert not has_c7_complement(Graph.cycle(n).complement())
+
+    def test_c7_complement_against_matcher_on_atlas(self):
+        sevens = [from_networkx(h) for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+        assert len(sevens) == 1044
+        found = 0
+        for g in sevens:
+            answer = has_c7_complement(g)
+            assert answer == has_antihole7_by_isomorphism(g), to_graph6(g)
+            found += answer
+        assert found == 1
+
+    def test_c7_complement_against_matcher_on_random(self):
+        rng = random.Random(7)
+        found = 0
+        for _ in range(300):
+            n = rng.randint(8, 11)
+            g = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            answer = has_c7_complement(g)
+            assert answer == has_antihole7_by_isomorphism(g), to_graph6(g)
+            found += answer
+        assert found > 0
+
+    def test_c7_complement_in_relabeled_ring_families(self):
+        rng = random.Random(77)
+        graphs = [generate_t11_type([rng.randint(1, 2) for _ in range(11)])[0] for _ in range(6)]
+        for ysizes in ([0] * 7, [1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 0, 0], [0, 0, 1, 1, 0, 0, 0]):
+            graphs.append(generate_heptagram_type([rng.randint(1, 2) for _ in range(7)], ysizes)[0])
+        for g in graphs:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            assert has_c7_complement(h) and has_antihole7_by_isomorphism(h), to_graph6(h)
 
     def test_pattern_larger_than_host(self):
         with pytest.raises(ValueError):
@@ -243,6 +312,4 @@ class TestHitStaleness:
         assert not verify_hit(g2, hit)
 
     def test_wrong_vertex_count(self):
-        from heptalab.detect import PatternHit
-
         assert not verify_hit(Graph.cycle(5), PatternHit("odd_hole", (0, 1, 2, 3, 3), 5))
