@@ -14,6 +14,7 @@ cross-check oracles, live in the test suite (``tests/naive.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph import Graph, induced_subgraph, iter_bits, mask_of
 
@@ -50,7 +51,7 @@ def c7_complement() -> Graph:
 
 
 def _induced_cycle(
-    rows: tuple[int, ...], n: int, shortest: int, longest: int, budget: int | None
+    rows: Sequence[int], n: int, shortest: int, longest: int, budget: int | None
 ) -> tuple[int, ...] | None:
     """A shortest induced cycle of odd length in ``shortest..longest``, or None.
 
@@ -207,8 +208,11 @@ def find_induced_pattern(g: Graph, pattern: Graph, kind: str = "custom") -> Patt
 
 def has_c7_complement(g: Graph) -> bool:
     """True when ``g`` has an induced 7-vertex antihole, that is, when its
-    complement has an induced 7-cycle."""
-    return _induced_cycle(g.complement().rows, g.n, 7, 7, None) is not None
+    complement has an induced 7-cycle.  The complement's rows are valid by
+    construction, so they go to the search without building a Graph."""
+    full = (1 << g.n) - 1
+    rows = [(full ^ r) & ~(1 << u) for u, r in enumerate(g.rows)]
+    return _induced_cycle(rows, g.n, 7, 7, None) is not None
 
 
 def verify_hit(g: Graph, hit: PatternHit, pattern: Graph | None = None) -> bool:

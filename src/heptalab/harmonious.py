@@ -6,18 +6,19 @@ between cutset vertices whose interior avoids the cutset has even length when
 its endpoints share a part and odd length otherwise.  Two proper colorings of
 the two sides can then be aligned part-by-part with color swaps and glued.
 
-The cutset search is exact: it tries every vertex set that disconnects the
-graph and induces a bipartite or complete multipartite graph, the only
-shapes a harmonious cutset can take.  Both that pool and the path parity
-checks are exponential in the worst case, so the search and every check
-run under one budget of search steps and report "inconclusive" when it
-runs dry; neither ever guesses.
+The cutset search is exact: it gives one parity pass over those paths to
+every vertex set that disconnects the graph and induces a bipartite or
+complete multipartite graph, the only shapes a harmonious cutset can take.
+A parity union-find settles in that pass which components of a bipartite
+set swap their two colors.  Pool and pass are exponential in the worst
+case, so the search and every check run under one budget of search steps
+and report "inconclusive" when it runs dry; neither ever guesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Iterator
 
 from .coloring import Coloring
@@ -26,7 +27,7 @@ from .graph import Graph, iter_bits, mask_of
 
 
 class MergeError(RuntimeError):
-    """The swap loop stalled or overran, signaling a precondition violation."""
+    """The swap loop stalled, signaling a precondition violation."""
 
 
 @dataclass(frozen=True)
@@ -46,25 +47,17 @@ class HarmoniousPartition:
         if not self.parts:
             raise ValueError("at least one cutset part required")
         seen: set[int] = set()
-        for part in self.parts:
-            if not part:
-                raise ValueError("empty cutset part")
-            if part & seen:
-                raise ValueError("cutset parts overlap")
-            seen |= part
-        for side in self.sides:
-            if not side:
-                raise ValueError("empty side")
-            if side & seen:
-                raise ValueError("side overlaps cutset or other side")
-            seen |= side
+        for what, blocks in (("cutset part", self.parts), ("side", self.sides)):
+            for block in blocks:
+                if not block:
+                    raise ValueError(f"empty {what}")
+                if block & seen:
+                    raise ValueError(f"{what} overlaps an earlier part or side")
+                seen |= block
 
     @property
     def cutset(self) -> frozenset[int]:
         return frozenset().union(*self.parts)
-
-    def part_index(self) -> dict[int, int]:
-        return {v: i for i, part in enumerate(self.parts) for v in part}
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,77 +87,93 @@ def _check_shape(g: Graph, p: HarmoniousPartition) -> None:
         raise ValueError("partition does not cover the vertex set exactly")
 
 
+def _parity_pass(
+    g: Graph, cut: int, classes: list[tuple[int, ...]], budget: int
+) -> tuple[list[int], tuple[int, ...] | None, int]:
+    """Check every induced path between ``cut`` vertices with its interior
+    off ``cut`` against labels: even between equal labels, odd otherwise.
+
+    ``classes`` gives classes of cut vertices as masks by label.  A path
+    between two classes merges the later into the earlier, flipping its
+    labels to suit the path (a parity union-find over the two-label classes
+    of a bipartite cut); a class labeled 0 at its least vertex stays so.
+    Returns the labels, the first path at odds with them or None, and the
+    steps, one per search node; past ``budget`` raises SearchBudgetExceeded.
+    """
+    cls, label = [0] * g.n, [0] * g.n
+    for c, masks in enumerate(classes):
+        for lab, m in enumerate(masks):
+            for v in iter_bits(m):
+                cls[v], label[v] = c, lab
+    rows = g.rows
+    interior = (1 << g.n) - 1 & ~cut
+    steps = 0
+    for start in iter_bits(cut):
+        # DFS from ``start``, closing at cut vertices above it; the stack
+        # holds (head, path, mid_adj), mid_adj the neighbors of path minus head
+        above = cut & ~((1 << (start + 1)) - 1)
+        stack: list[tuple[int, tuple[int, ...], int]] = [(start, (start,), 0)]
+        while stack:
+            head, path, mid_adj = stack.pop()
+            steps += 1
+            if steps > budget:
+                raise SearchBudgetExceeded(steps)
+            reach = rows[head] & ~mid_adj
+            for b in iter_bits(reach & above):
+                odd = len(path) % 2  # edges: path vertices + b minus 1
+                if cls[b] == cls[start]:
+                    if (label[b] == label[start]) == odd:
+                        return label, path + (b,), steps
+                    continue
+                keep, gone = sorted((cls[start], cls[b]))
+                flip = label[start] ^ label[b] ^ odd
+                for v in iter_bits(cut):
+                    if cls[v] == gone:
+                        cls[v] = keep
+                        label[v] ^= flip
+            new_mid = mid_adj | rows[head]
+            for w in iter_bits(reach & interior):
+                stack.append((w, path + (w,), new_mid))
+    return label, None, steps
+
+
 def verify_harmonious(
-    g: Graph,
-    p: HarmoniousPartition,
-    budget: int = DEFAULT_BUDGET,
+    g: Graph, p: HarmoniousPartition, budget: int = DEFAULT_BUDGET
 ) -> HarmonyVerdict:
     """Check the harmonious conditions by exhaustive induced-path search.
 
-    Path interiors keep away from the whole cutset.  Returns yes, no with a
-    concrete counterexample, or inconclusive when the step budget is
-    exhausted.  Stability of each part is subsumed by parity: an edge inside
-    a part is an odd same-part path of length one.
+    Returns yes, no with a concrete counterexample, or inconclusive when the
+    step budget is exhausted.  Stability of each part is subsumed by parity:
+    an edge inside a part is an odd same-part path of length one.
     """
     _check_shape(g, p)
-    steps = 0
 
     side_masks = (mask_of(p.sides[0]), mask_of(p.sides[1]))
     for u in p.sides[0]:
         leak = g.rows[u] & side_masks[1]
         if leak:
             v = (leak & -leak).bit_length() - 1
-            return HarmonyVerdict(
-                "no", HarmonyViolation("sides_connected", (u, v)), steps
-            )
+            return HarmonyVerdict("no", HarmonyViolation("sides_connected", (u, v)), 0)
 
     k = len(p.parts)
-    part_masks = [mask_of(part) for part in p.parts]
+    part_masks = tuple(mask_of(part) for part in p.parts)
     if k >= 3:
         for i, j in combinations(range(k), 2):
             for u in sorted(p.parts[i]):
                 missing = part_masks[j] & ~g.rows[u]
                 if missing:
                     v = (missing & -missing).bit_length() - 1
-                    return HarmonyVerdict(
-                        "no",
-                        HarmonyViolation("parts_not_complete", (u, v), (i, j)),
-                        steps,
-                    )
+                    violation = HarmonyViolation("parts_not_complete", (u, v), (i, j))
+                    return HarmonyVerdict("no", violation, 0)
 
-    part_of = p.part_index()
-    cut_mask = mask_of(p.cutset)
-    interior = (1 << g.n) - 1 & ~cut_mask
-    rows = g.rows
-    for start in sorted(p.cutset):
-        # DFS over induced paths from ``start`` with interiors outside the
-        # cutset, closing at cutset vertices above ``start``
-        above = ~((1 << (start + 1)) - 1)
-        i = part_of[start]
-        # stack: (head, path, mid_adj) with mid_adj = neighbors of path minus head
-        stack: list[tuple[int, tuple[int, ...], int]] = [(start, (start,), 0)]
-        while stack:
-            head, path, mid_adj = stack.pop()
-            steps += 1
-            if steps > budget:
-                return HarmonyVerdict("inconclusive", None, steps)
-            reach = rows[head] & ~mid_adj
-            for b in iter_bits(reach & cut_mask & above):
-                j = part_of[b]
-                length = len(path)  # edges: path vertices + b minus 1
-                if (length % 2 == 0) != (i == j):
-                    return HarmonyVerdict(
-                        "no", HarmonyViolation("parity", path + (b,), (i, j)), steps
-                    )
-            new_mid = mid_adj | rows[head]
-            for w in iter_bits(reach & interior):
-                stack.append((w, path + (w,), new_mid))
-    return HarmonyVerdict("yes", None, steps)
-
-
-# ---------------------------------------------------------------------------
-# search
-# ---------------------------------------------------------------------------
+    try:
+        label, path, steps = _parity_pass(g, mask_of(p.cutset), [part_masks], budget)
+    except SearchBudgetExceeded as exc:
+        return HarmonyVerdict("inconclusive", None, exc.steps)
+    if path is None:
+        return HarmonyVerdict("yes", None, steps)
+    pair = (label[path[0]], label[path[-1]])
+    return HarmonyVerdict("no", HarmonyViolation("parity", path, pair), steps)
 
 
 @dataclass(frozen=True)
@@ -205,65 +214,66 @@ def minimal_separators(g: Graph, budget: int | None = None) -> list[frozenset[in
     for sep in found:  # grows while it is walked
         for x in iter_bits(sep):
             collect(sep | rows[x])
-    out = [frozenset(iter_bits(sep)) for sep in found]
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    return sorted((frozenset(iter_bits(sep)) for sep in found), key=lambda s: (len(s), sorted(s)))
 
 
-def _candidate_partitions(g: Graph, cut: int) -> Iterator[tuple[frozenset[int], ...]]:
-    """The partitions of ``cut`` that can be harmonious, in restricted-growth
-    order.  Parts are stable, and pairwise complete when three or more, so
-    a bipartite G[cut] offers its two-colorings, a complete multipartite
-    one its parts (the classes of non-adjacency), and any other none."""
-    rows = g.rows
-    colorings = []  # per component of G[cut]: its two color classes
+def _shape(rows: tuple[int, ...], cut: int) -> list[tuple[int, ...]] | None:
+    """The ``_parity_pass`` classes that ``cut`` can be split by, or None.
+
+    Parts are stable, and pairwise complete when three or more.  So a
+    bipartite G[cut] gives one class per component, its two color classes;
+    a complete multipartite one its parts (the classes of non-adjacency) as
+    one class.  Classes come in order of their least vertex, labeled 0."""
+    classes = []
     remaining = cut
     while remaining:
-        classes, layer, side = [0, 0], remaining & -remaining, 0
+        colors, layer, side = [0, 0], remaining & -remaining, 0
         while layer:
-            classes[side] |= layer
+            colors[side] |= layer
             side ^= 1
             reach = 0
             for u in iter_bits(layer):
                 reach |= rows[u]
             if reach & layer:  # an edge inside a BFS layer closes an odd cycle
                 break
-            layer = reach & cut & ~(classes[0] | classes[1])
+            layer = reach & cut & ~(colors[0] | colors[1])
         if layer:
             break
-        colorings.append(classes)
-        remaining &= ~(classes[0] | classes[1])
+        classes.append((colors[0], colors[1]))
+        remaining &= ~(colors[0] | colors[1])
     else:
-        # the smallest vertex keeps part 0; each other component may flip
-        for flips in product((False, True), repeat=len(colorings) - 1):
-            parts = [0, 0]
-            for (own, other), flip in zip(colorings, (False,) + flips):
-                parts[flip] |= own
-                parts[not flip] |= other
-            yield tuple(frozenset(iter_bits(m)) for m in parts if m)
-        return
-    # complete multipartite iff the distinct non-neighborhoods are disjoint: the parts
-    parts = sorted({cut & ~rows[u] for u in iter_bits(cut)}, key=lambda m: m & -m)
-    if sum(part.bit_count() for part in parts) == cut.bit_count():
-        yield tuple(frozenset(iter_bits(part)) for part in parts)
+        return classes
+    # complete multipartite iff non-adjacency is an equivalence: the parts
+    parts = []
+    remaining = cut
+    while remaining:
+        part = cut & ~rows[(remaining & -remaining).bit_length() - 1]
+        for v in iter_bits(part):
+            if cut & ~rows[v] != part:
+                return None
+        parts.append(part)
+        remaining &= ~part
+    return [tuple(parts)]
 
 
-def _shaped(g: Graph, cut: int) -> bool:
-    return next(_candidate_partitions(g, cut), None) is not None
-
-
-def _cutset_pool(g: Graph, separators: list[frozenset[int]]) -> Iterator[int]:
+def _cutset_pool(
+    g: Graph, separators: list[frozenset[int]]
+) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
     """Every set X (as a mask) that disconnects g while G[X] is bipartite or
-    complete multipartite, each once: the shaped minimal separators in the
-    given order, then every set reached from them by adding one vertex at a
-    time while it stays shaped and disconnecting.  Shape is hereditary, and
-    such an X contains a minimal separator S of two vertices it separates;
-    every set between S and X separates them too, so a chain leads to X."""
-    full = (1 << g.n) - 1
+    complete multipartite, each once and with its ``_shape``: the shaped
+    minimal separators in the given order, then every set reached from
+    them by adding one vertex at a time while it stays shaped and
+    disconnecting.  Shape is hereditary, and such an X contains a minimal
+    separator S of two vertices it separates; every set between S and X
+    separates them too, so a chain leads to X."""
+    rows, full = g.rows, (1 << g.n) - 1
     masks = [mask_of(sep) for sep in separators]
     seen = set(masks)
-    admitted = [m for m in masks if _shaped(g, m)]
-    yield from admitted
+    admitted = []
+    for cut in masks:
+        if (shape := _shape(rows, cut)) is not None:
+            admitted.append(cut)
+            yield cut, shape
     for base in admitted:  # grows while it is walked
         for v in iter_bits(full & ~base):
             cut = base | 1 << v
@@ -271,22 +281,21 @@ def _cutset_pool(g: Graph, separators: list[frozenset[int]]) -> Iterator[int]:
                 continue
             seen.add(cut)
             rest = full & ~cut
-            if rest and g.component_of(rest & -rest, rest) != rest and _shaped(g, cut):
-                admitted.append(cut)
-                yield cut
+            if rest and g.component_of(rest & -rest, rest) != rest:
+                if (shape := _shape(rows, cut)) is not None:
+                    admitted.append(cut)
+                    yield cut, shape
 
 
 def find_harmonious_cutset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutsetSearchResult:
     """Search every possible cutset for a verifiable harmonious partition.
 
-    The parts of a harmonious partition are stable, and pairwise complete
-    when three or more, so its cutset induces a bipartite or complete
-    multipartite graph.  The search therefore walks ``_cutset_pool``, which
-    holds every such set that disconnects g, minimal separators first, and
-    tries each set's candidate partitions in canonical order; the first hit
-    is deterministic and "none" is a certificate.  One step is spent per
-    minimal separator built, per cutset tried and per parity-search node;
-    past ``budget`` steps the answer is "inconclusive".
+    The search walks ``_cutset_pool`` with one ``_parity_pass`` per set.  As
+    the least vertex of each class keeps label 0, a bipartite set gets the
+    first of its two-colorings in flip order, so a hit is deterministic; it
+    is checked again by ``verify_harmonious``, and "none" is a certificate.
+    A step is spent per minimal separator built, per cutset tried and per
+    parity-pass node; past ``budget`` steps the answer is "inconclusive".
     """
     if not g.is_connected():
         raise ValueError("input graph must be connected")
@@ -296,27 +305,30 @@ def find_harmonious_cutset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutsetSear
         return CutsetSearchResult("inconclusive", None, exc.steps)
     steps = len(separators)
     full = (1 << g.n) - 1
-    for cut in _cutset_pool(g, separators):
+    for cut, classes in _cutset_pool(g, separators):
         steps += 1
         if steps > budget:
             return CutsetSearchResult("inconclusive", None, steps)
+        try:
+            label, path, spent = _parity_pass(g, cut, classes, budget - steps)
+        except SearchBudgetExceeded as exc:
+            return CutsetSearchResult("inconclusive", None, steps + exc.steps)
+        steps += spent
+        if path is not None:
+            continue
+        # each label up to the largest holds a vertex: 0 at the least one
+        parts = tuple(
+            frozenset(v for v in iter_bits(cut) if label[v] == i) for i in range(max(label) + 1)
+        )
         rest = full & ~cut
         first = g.component_of(rest & -rest, rest)
         sides = (frozenset(iter_bits(first)), frozenset(iter_bits(rest & ~first)))
-        for parts in _candidate_partitions(g, cut):
-            partition = HarmoniousPartition(parts, sides)
-            verdict = verify_harmonious(g, partition, budget - steps)
-            steps += verdict.steps
-            if verdict.status == "yes":
-                return CutsetSearchResult("found", partition, steps)
-            if verdict.status == "inconclusive":
-                return CutsetSearchResult("inconclusive", None, steps)
+        partition = HarmoniousPartition(parts, sides)
+        # the re-check repeats the pass that just fit in the budget
+        if verify_harmonious(g, partition, budget).status != "yes":
+            raise RuntimeError("parity pass accepted a partition the verifier rejects")
+        return CutsetSearchResult("found", partition, steps)
     return CutsetSearchResult("none", None, steps)
-
-
-# ---------------------------------------------------------------------------
-# coloring merge
-# ---------------------------------------------------------------------------
 
 
 def side_vertex_sets(g: Graph, p: HarmoniousPartition) -> tuple[frozenset[int], frozenset[int]]:
@@ -338,8 +350,9 @@ def merge_colorings(
     subgraph spanned by its two colors (its current one and its part's), and
     swapping the two colors there strictly increases the number of aligned
     cutset vertices; the harmonious conditions guarantee that component
-    carries no aligned cutset vertex.  A stalled or overlong loop raises
-    MergeError, which is the designed detector for a non-harmonious input.
+    carries no aligned cutset vertex.  A swap without progress raises
+    MergeError, which is the designed detector for a non-harmonious input;
+    as each swap must align one more vertex, the loop ends.
 
     ``on_swap(side, aligned_count)`` is invoked after every swap, which the
     test suite uses to assert strict monotonicity.
@@ -350,12 +363,11 @@ def merge_colorings(
         raise ValueError("side colorings use different palette sizes")
     if k < len(p.parts):
         raise ValueError("palette smaller than the number of cutset parts")
-    part_of = p.part_index()
+    part_of = {v: i for i, part in enumerate(p.parts) for v in part}
     cut = sorted(p.cutset)
     merged: dict[int, int] = {}
 
-    for side_idx, side in enumerate(p.sides):
-        source = (c1, c2)[side_idx]
+    for side_idx, (side, source) in enumerate(zip(p.sides, (c1, c2))):
         visible = sorted(side | p.cutset)
         colors = {}
         for v in visible:
@@ -373,32 +385,20 @@ def merge_colorings(
                         f"side {side_idx + 1} coloring is not proper on edge ({u}, {w})"
                     )
 
-        max_rounds = len(cut) * k + 1
-        rounds = 0
-        while True:
-            bad = next((v for v in cut if colors[v] != part_of[v]), None)
-            if bad is None:
-                break
-            rounds += 1
-            if rounds > max_rounds:
-                raise MergeError(
-                    "swap loop exceeded its round limit; cutset is not harmonious"
-                )
+        aligned = sum(colors[v] == part_of[v] for v in cut)
+        while aligned < len(cut):
+            bad = next(v for v in cut if colors[v] != part_of[v])
             want, have = part_of[bad], colors[bad]
-            aligned_before = sum(1 for v in cut if colors[v] == part_of[v])
-            # two-color component of `bad` within this side's graph
+            # swap the two colors on the two-colored component of `bad` in this side
             block = mask_of(v for v in visible if colors[v] in (want, have))
-            comp = g.component_of(1 << bad, block)
-            for v in iter_bits(comp):
+            for v in iter_bits(g.component_of(1 << bad, block)):
                 colors[v] = want if colors[v] == have else have
-            aligned_after = sum(1 for v in cut if colors[v] == part_of[v])
-            if aligned_after <= aligned_before:
-                raise MergeError(
-                    "color swap made no progress; cutset is not harmonious"
-                )
+            now = sum(colors[v] == part_of[v] for v in cut)
+            if now <= aligned:
+                raise MergeError("color swap made no progress; cutset is not harmonious")
+            aligned = now
             if on_swap is not None:
-                on_swap(side_idx, aligned_after)
-        for v in visible:
-            merged[v] = colors[v]
+                on_swap(side_idx, aligned)
+        merged.update(colors)
 
     return Coloring(merged, k)

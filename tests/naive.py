@@ -3,14 +3,17 @@
 Everything here favors obviousness over speed: plain backtracking in vertex
 order, exhaustive subset scans, and networkx round trips.  None of it shares
 code paths with the package under test, except that the heptagram-type
-oracle checks its candidates with the class verifier, the class definition.
+oracle checks its candidates with the class verifier, the class definition,
+and the per-partition cutset search walks the package's cutset pool and
+checks each candidate partition with ``verify_harmonious``.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 
+from heptalab import harmonious
 from heptalab.graph import Graph, to_graph6
 from heptalab.structures import HeptagramTypeWitness, verify_heptagram_type
 
@@ -419,6 +422,61 @@ def harmonious_partition_by_subsets(g: Graph) -> tuple[frozenset[int], ...] | No
                 for (a, b), seen in parities.items()
             ):
                 return tuple(frozenset(p) for p in parts)
+    return None
+
+
+def _candidate_partitions(adj: list[int], cut: int):
+    """The partitions of ``cut`` that can be harmonious, in flip order: each
+    two-coloring of a bipartite G[cut] with the least vertex in part 0, the
+    later components of G[cut] flipped or not, earlier components first; or
+    the parts of a complete multipartite G[cut], ordered by least vertex."""
+    if _bipartite_within(adj, cut):
+        colorings = []  # per component of G[cut]: its two color classes
+        for comp in _components(adj, cut):
+            classes, layer, side = [0, 0], comp & -comp, 0
+            while layer:
+                classes[side] |= layer
+                side ^= 1
+                reach = 0
+                for u in _bits(layer):
+                    reach |= adj[u]
+                layer = reach & comp & ~(classes[0] | classes[1])
+            colorings.append(classes)
+        for flips in product((False, True), repeat=len(colorings) - 1):
+            parts = [0, 0]
+            for (own, other), flip in zip(colorings, (False,) + flips):
+                parts[flip] |= own
+                parts[not flip] |= other
+            yield tuple(frozenset(_bits(m)) for m in parts if m)
+    elif _complete_multipartite_within(adj, cut):
+        parts = {cut & ~adj[u] | 1 << u for u in _bits(cut)}
+        yield tuple(frozenset(_bits(m)) for m in sorted(parts, key=lambda m: m & -m))
+
+
+def harmonious_cutset_by_partitions(g: Graph) -> tuple[str, object]:
+    """(status, partition) of the first harmonious partition over the
+    package's cutset pool, found by verifying every candidate partition of
+    each cutset in turn with ``verify_harmonious``: 2^(c-1) verifier calls
+    for a bipartite cutset whose G[X] has c components."""
+    adj = _adjacency(g)
+    for cut, _ in harmonious._cutset_pool(g, harmonious.minimal_separators(g)):
+        partition = first_harmonious_candidate(g, adj, cut)
+        if partition is not None:
+            return "found", partition
+    return "none", None
+
+
+def first_harmonious_candidate(g: Graph, adj: list[int], cut: int):
+    """The first candidate partition of ``cut``, in flip order, that
+    ``verify_harmonious`` accepts, with the component of the least other
+    vertex as the first side; None when none is accepted."""
+    rest = (1 << g.n) - 1 & ~cut
+    first = _components(adj, rest)[0]
+    sides = (frozenset(_bits(first)), frozenset(_bits(rest & ~first)))
+    for parts in _candidate_partitions(adj, cut):
+        partition = harmonious.HarmoniousPartition(parts, sides)
+        if harmonious.verify_harmonious(g, partition).status == "yes":
+            return partition
     return None
 
 

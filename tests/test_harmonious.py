@@ -6,9 +6,10 @@ import pytest
 from heptalab import harmonious
 from heptalab.coloring import Coloring, chromatic_number_exact, greedy_coloring, is_proper
 from heptalab.corpus import all_graphs_up_to
-from heptalab.detect import c7_complement, find_full_house, find_odd_hole
-from heptalab.graph import Graph, induced_subgraph
+from heptalab.detect import DEFAULT_BUDGET, c7_complement, find_full_house, find_odd_hole
+from heptalab.graph import Graph, induced_subgraph, iter_bits, mask_of
 from heptalab.detect import SearchBudgetExceeded
+from heptalab.structures import generate_heptagram_type, generate_t11_type
 from heptalab.harmonious import (
     HarmoniousPartition,
     MergeError,
@@ -20,7 +21,11 @@ from heptalab.harmonious import (
 )
 
 from .naive import (
+    _adjacency,
+    _candidate_partitions,
+    first_harmonious_candidate,
     from_networkx,
+    harmonious_cutset_by_partitions,
     harmonious_partition_by_subsets,
     induced_path_lengths,
     is_shaped,
@@ -30,19 +35,29 @@ from .naive import (
 from .planted import planted_instances
 
 
-def random_connected_graphs(count: int, seed: int) -> list[Graph]:
-    """Seeded connected G(n, p) graphs with 6 <= n <= 12."""
+def random_connected_graphs(
+    count: int, seed: int, sizes=(6, 12), densities=(0.2, 0.3, 0.5)
+) -> list[Graph]:
+    """Seeded connected G(n, p) graphs with n in ``sizes`` and p drawn from
+    ``densities``."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n = rng.randint(6, 12)
-        p = rng.choice((0.2, 0.3, 0.5))
+        n = rng.randint(*sizes)
+        p = rng.choice(densities)
         g = Graph.from_edges(
             n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
         )
         if g.is_connected():
             out.append(g)
     return out
+
+
+def five_cycle_with_triangle() -> Graph:
+    """The 5-cycle 1-3-2-4-5 with a triangle 0-4-5 on its edge 4-5.  Its
+    first pool cutset {1, 2} is joined by the even path 1-3-2 and the odd
+    path 1-5-4-2; the edge {4, 5} is harmonious."""
+    return Graph.from_edges(6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4), (4, 5)])
 
 
 def side_coloring(g: Graph, p: HarmoniousPartition, side: int, k: int) -> Coloring:
@@ -61,9 +76,9 @@ def record_pool(monkeypatch) -> list[int]:
     pool = harmonious._cutset_pool
 
     def recording(g, separators):
-        for cut in pool(g, separators):
+        for cut, classes in pool(g, separators):
             tried.append(cut)
-            yield cut
+            yield cut, classes
 
     monkeypatch.setattr(harmonious, "_cutset_pool", recording)
     return tried
@@ -185,14 +200,14 @@ class TestPool:
         # adding vertices only above the largest member, with a seen-set
         # prune, misses sets here; adding every vertex to every set does not
         for g in random_connected_graphs(30, seed=5):
-            pool = list(harmonious._cutset_pool(g, minimal_separators(g)))
+            pool = [cut for cut, _ in harmonious._cutset_pool(g, minimal_separators(g))]
             assert len(pool) == len(set(pool)), g
             assert set(pool) == shaped_cutsets_by_subsets(g), g
 
     def test_shaped_separators_come_first(self):
         g = Graph.cycle(6)
         separators = minimal_separators(g)
-        pool = list(harmonious._cutset_pool(g, separators))
+        pool = [cut for cut, _ in harmonious._cutset_pool(g, separators)]
         assert pool[: len(separators)] == [sum(1 << v for v in s) for s in separators]
         assert len(pool) > len(separators)
 
@@ -263,6 +278,138 @@ class TestSearch:
         res = find_harmonious_cutset(g, budget=done.steps - 1)
         assert res.status == "inconclusive" and res.steps == done.steps
         assert len(tried) > len(separators)  # past the separators
+
+
+class TestParityPass:
+    def test_three_components_take_the_first_consistent_flip(self):
+        # in the 8-cycle, the cutset {0, 3, 5} splits into three singleton
+        # components; paths 0..3 and 5..0 are odd and 3..5 is even, so only
+        # the last of the four flips, {0} against {3, 5}, is consistent
+        g = Graph.cycle(8)
+        cut = mask_of((0, 3, 5))
+        classes = harmonious._shape(g.rows, cut)
+        assert len(classes) == 3
+        all_false = next(_candidate_partitions(_adjacency(g), cut))
+        assert all_false == (frozenset({0, 3, 5}),)
+        label, path, _ = harmonious._parity_pass(g, cut, classes, DEFAULT_BUDGET)
+        assert path is None
+        assert [label[v] for v in (0, 3, 5)] == [0, 1, 1]
+        expected = first_harmonious_candidate(g, _adjacency(g), cut)
+        assert expected.parts == (frozenset({0}), frozenset({3, 5}))
+
+    def test_relabeled_flips_match_the_oracle(self):
+        # every bipartite cutset with three or more components of relabeled
+        # even cycles: the pass accepts exactly when some flip verifies, and
+        # then with the oracle's first verified partition
+        rng = random.Random(8)
+        for n in (8, 10, 12):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = Graph.cycle(n).relabel(perm)
+            for cut, classes in harmonious._cutset_pool(g, minimal_separators(g)):
+                if len(classes) < 3:
+                    continue
+                label, path, _ = harmonious._parity_pass(g, cut, classes, DEFAULT_BUDGET)
+                expected = first_harmonious_candidate(g, _adjacency(g), cut)
+                if path is not None:
+                    assert expected is None, (n, cut)
+                    continue
+                parts = [0, 0]
+                for v in iter_bits(cut):
+                    parts[label[v]] |= 1 << v
+                got = tuple(frozenset(iter_bits(m)) for m in parts if m)
+                assert got == expected.parts, (n, cut)
+
+    def test_pair_with_paths_of_both_parities_is_skipped(self):
+        g = five_cycle_with_triangle()
+        pool = harmonious._cutset_pool(g, minimal_separators(g))
+        cut, classes = next(pool)
+        assert cut == mask_of((1, 2)) and len(classes) == 2
+        _, path, _ = harmonious._parity_pass(g, cut, classes, DEFAULT_BUDGET)
+        assert path is not None and {path[0], path[-1]} == {1, 2}
+        assert first_harmonious_candidate(g, _adjacency(g), cut) is None
+        res = find_harmonious_cutset(g)
+        assert res.status == "found"
+        assert res.partition.parts == (frozenset({4}), frozenset({5}))
+        assert harmonious_cutset_by_partitions(g) == (res.status, res.partition)
+
+    def test_complete_tripartite_parity_violation(self):
+        # parts {0, 1}, {2}, {3}, pairwise complete; 0-4-5-1 joins the
+        # same-part pair {0, 1} by an odd path
+        edges = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5), (5, 1), (2, 6), (3, 6)]
+        g = Graph.from_edges(7, edges)
+        cut = mask_of((0, 1, 2, 3))
+        classes = harmonious._shape(g.rows, cut)
+        assert classes == [(mask_of((0, 1)), 1 << 2, 1 << 3)]
+        _, path, _ = harmonious._parity_pass(g, cut, classes, DEFAULT_BUDGET)
+        assert path == (0, 4, 5, 1)
+        p = HarmoniousPartition(
+            (frozenset({0, 1}), frozenset({2}), frozenset({3})),
+            (frozenset({4, 5}), frozenset({6})),
+        )
+        verdict = verify_harmonious(g, p)
+        assert verdict.status == "no"
+        assert verdict.violation == harmonious.HarmonyViolation("parity", (0, 4, 5, 1), (0, 0))
+
+    def test_budget_one_short_is_inconclusive(self):
+        for g in (five_cycle_with_triangle(), Graph.cycle(8), Graph.cycle(9)):
+            done = find_harmonious_cutset(g)
+            res = find_harmonious_cutset(g, budget=done.steps - 1)
+            assert res.status == "inconclusive" and res.partition is None, g
+            assert res.steps == done.steps, g
+
+    def test_found_partition_is_verified_again(self, monkeypatch):
+        g = five_cycle_with_triangle()
+        calls = []
+
+        def refusing(g, p, budget=DEFAULT_BUDGET):
+            calls.append(p)
+            return harmonious.HarmonyVerdict("no", None, 0)
+
+        monkeypatch.setattr(harmonious, "verify_harmonious", refusing)
+        with pytest.raises(RuntimeError):
+            find_harmonious_cutset(g)
+        assert [p.cutset for p in calls] == [frozenset({4, 5})]
+
+
+class TestAgainstPartitionSearch:
+    """``find_harmonious_cutset`` gives the same (status, partition) as
+    verifying every candidate partition of every pool cutset in turn."""
+
+    def check(self, graphs):
+        statuses = set()
+        for g in graphs:
+            res = find_harmonious_cutset(g)
+            assert (res.status, res.partition) == harmonious_cutset_by_partitions(g), g
+            statuses.add(res.status)
+        return statuses
+
+    def test_connected_graphs_up_to_seven_vertices(self):
+        graphs = [g for g in all_graphs_up_to(7) if g.n and g.is_connected()]
+        assert len(graphs) == 996
+        assert self.check(graphs) == {"found", "none"}
+
+    def test_random_graphs(self):
+        # sparse to medium p, where cutsets with several components are common
+        graphs = random_connected_graphs(
+            200, seed=9, sizes=(8, 14), densities=(0.15, 0.2, 0.3, 0.5)
+        )
+        assert self.check(graphs) == {"found", "none"}
+
+    def test_planted_instances(self):
+        assert self.check(inst.graph for inst in planted_instances(60, seed=3)) == {"found"}
+
+    def test_relabeled_ring_families(self):
+        rng = random.Random(41)
+        graphs = [generate_t11_type([rng.randint(1, 2) for _ in range(11)])[0] for _ in range(4)]
+        for ysizes in ([0] * 7, [1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 1, 0, 0]):
+            graphs.append(generate_heptagram_type([rng.randint(1, 2) for _ in range(7)], ysizes)[0])
+        relabeled = []
+        for g in graphs:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabeled.append(g.relabel(perm))
+        assert self.check(relabeled) == {"none"}
 
 
 class TestMerge:
