@@ -189,11 +189,22 @@ def class_record(g: Graph) -> dict:
     }
 
 
+def _theorem_record(g: Graph, theorem: str, budget: int) -> dict:
+    """``class_record`` plus, under t2.3, the graph's ``dichotomy_outcome``
+    as ``"dichotomy"``: the per-graph work ``evaluate_theorem`` hands to
+    its workers."""
+    rec = class_record(g)
+    if theorem == "t2.3":
+        rec["dichotomy"] = dichotomy_outcome(g, rec, budget)
+    return rec
+
+
 def record_outcome(rec: dict, theorem: str) -> str:
     """Outcome of one record under one theorem: "filtered" (hypothesis not
-    met), "pass", "violation", or "inconclusive"."""
+    met), "pass", "violation", or "inconclusive".  Under t2.3 it is the
+    record's ``"dichotomy"`` entry, which ``_theorem_record`` computes."""
     if theorem == "t2.3":
-        raise ValueError("t2.3 needs the graph; use evaluate_theorem")
+        return rec["dichotomy"]
     if rec["odd_hole_free"] is None:
         return "inconclusive"
     if not rec["odd_hole_free"]:
@@ -259,19 +270,14 @@ def verdict_from_records(
     records: Sequence[dict],
     theorem: str,
     *,
-    graphs: Sequence[Graph] | None = None,
     budget: int = DEFAULT_BUDGET,
     seed: int | None = None,
 ) -> dict:
     population = 0
     violations: list[str] = []
     inconclusive = 0
-    for idx, rec in enumerate(records):
-        if theorem == "t2.3":
-            assert graphs is not None
-            outcome = dichotomy_outcome(graphs[idx], rec, budget)
-        else:
-            outcome = record_outcome(rec, theorem)
+    for rec in records:
+        outcome = record_outcome(rec, theorem)
         if outcome == "filtered":
             continue
         population += 1
@@ -302,10 +308,9 @@ def evaluate_theorem(
 ) -> dict:
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem {theorem!r}")
-    records = list(_ordered_map(class_record, graphs, workers))
-    return verdict_from_records(
-        records, theorem, graphs=graphs, budget=budget, seed=seed
-    )
+    record = functools.partial(_theorem_record, theorem=theorem, budget=budget)
+    records = list(_ordered_map(record, graphs, workers))
+    return verdict_from_records(records, theorem, budget=budget, seed=seed)
 
 
 # ---------------------------------------------------------------------------

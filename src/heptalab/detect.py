@@ -136,32 +136,19 @@ def find_full_house(g: Graph) -> PatternHit | None:
 
 
 def find_induced_embedding(g: Graph, pattern: Graph) -> tuple[int, ...] | None:
-    for emb in iter_induced_embeddings(g, pattern):
-        return emb
-    return None
-
-
-def iter_induced_embeddings(g: Graph, pattern: Graph):
-    """Yield every injective map (pattern vertex -> host vertex) preserving
-    both adjacency and non-adjacency.  Backtracking with forward checking on
-    candidate bitmasks."""
+    """The first injective map (pattern vertex -> host vertex) preserving
+    both adjacency and non-adjacency, or None.  Backtracking with forward
+    checking on candidate bitmasks."""
     if pattern.n > MAX_PATTERN_SIZE:
         raise ValueError(f"pattern larger than the supported cap {MAX_PATTERN_SIZE}")
     if pattern.n > g.n:
         raise ValueError("pattern larger than host")
     p = pattern.n
-    if p == 0:
-        yield ()
-        return
     # most-constrained-first static order: descending degree, connected growth
     order: list[int] = []
     placed = 0
     while len(order) < p:
-        cand = [
-            v
-            for v in range(p)
-            if not (placed >> v) & 1
-        ]
+        cand = [v for v in range(p) if not (placed >> v) & 1]
         cand.sort(key=lambda v: (-(pattern.rows[v] & placed).bit_count(), -pattern.degree(v), v))
         v = cand[0]
         order.append(v)
@@ -173,29 +160,26 @@ def iter_induced_embeddings(g: Graph, pattern: Graph):
         base.append(mask_of(u for u in range(g.n) if g.degree(u) >= dv))
     assignment = [-1] * p
 
-    def extend(idx: int, cands: list[int], used: int):
+    def extend(idx: int, cands: list[int], used: int) -> bool:
         if idx == p:
-            yield tuple(assignment)
-            return
+            return True
         v = order[idx]
-        options = cands[v] & ~used
-        for u in iter_bits(options):
+        for u in iter_bits(cands[v] & ~used):
             assignment[v] = u
             nxt = list(cands)
-            ok = True
             for w in order[idx + 1 :]:
                 if pattern.adjacent(v, w):
                     nxt[w] = nxt[w] & g.rows[u]
                 else:
                     nxt[w] = nxt[w] & ~g.rows[u] & (full ^ (1 << u))
                 if not nxt[w] & ~(used | (1 << u)):
-                    ok = False
                     break
-            if ok:
-                yield from extend(idx + 1, nxt, used | (1 << u))
-        assignment[v] = -1
+            else:
+                if extend(idx + 1, nxt, used | (1 << u)):
+                    return True
+        return False
 
-    yield from extend(0, base, 0)
+    return tuple(assignment) if extend(0, base, 0) else None
 
 
 def find_induced_pattern(g: Graph, pattern: Graph, kind: str = "custom") -> PatternHit | None:

@@ -15,8 +15,8 @@ Rule identifiers are opaque labels; each verifier's docstring states what
 the numbered rules check.  Everything here is pure and deterministic:
 verifiers scan exhaustively, the 11-ring recognizer reads its witness off
 one core embedding, the full-class recognizer runs one budgeted,
-forward-checked backtracking search from each antihole embedding, and
-generators build instances part by part.
+forward-checked backtracking search whose first levels pick the antihole
+that opens the ring parts, and generators build instances part by part.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from typing import Iterable
 from .detect import (
     DEFAULT_BUDGET,
     SearchBudgetExceeded,
-    c7_complement,
     find_induced_embedding,
-    iter_induced_embeddings,
+    has_c7_complement,
 )
 from .graph import Graph, iter_bits, mask_of
 
@@ -649,31 +648,34 @@ def recognize_heptagram_type(
 ) -> HeptagramTypeWitness | None:
     """Recover a full-class witness, or None; exact within ``budget``.
 
-    For each embedding of the 7-vertex antihole, embedding vertex i is
-    pinned to ring part i and every other vertex gets one of the 14 slots
-    (ring parts and outer groups) by backtracking.  Each slot pair has a
-    required relation (``_slot_relation``: stable slots, the complete and
-    anticomplete ring pairs, outer groups seeing no ring part at +-1 or +-2,
-    consecutive outer groups complete, the rest anticomplete), so a placed
-    vertex narrows the slot domain of every other vertex.  The search
-    branches on a vertex with the fewest slots left, prunes on an empty
-    domain, and runs the full verifier at each leaf; it returns the first
-    witness that passes, in canonical form.
+    Every vertex gets one of the 14 slots (ring parts and outer groups) by
+    backtracking.  Each slot pair has a required relation
+    (``_slot_relation``: stable slots, the complete and anticomplete ring
+    pairs, outer groups seeing no ring part at +-1 or +-2, consecutive outer
+    groups complete, the rest anticomplete), so a placed vertex narrows the
+    slot domain of every other vertex.  While a ring part is empty, the
+    search branches on which vertex opens the first empty part i: one that
+    still has slot i and sees the openers of i's linked partners (the pairs
+    in ``_LINKED_PAIRS_2`` and ``_LINKED_PAIRS_3``, the only ring pairs
+    whose relation is open), so the seven openers induce the 7-vertex
+    antihole.  Then it branches on a vertex with the fewest slots left.  It
+    prunes on an empty domain, runs the full verifier at each leaf, and
+    returns the first witness that passes, in canonical form.
 
-    None is exact.  Every witness has an antihole that is a transversal of
-    its ring parts: take any v1 in part 1 and, as pairs (0, 1) and (1, 2)
-    are linked, neighbors v0 in part 0 and v2 in part 2; rule "4" makes v0
-    and v2 adjacent.  Take any edge v4v5 of the linked pair (4, 5) and any
-    v3, v6.  Every other pair at ring distance 1 or 2 is complete and pairs
-    at distance 3 are anticomplete, so i -> v_i is an embedding of the
-    antihole, and the loop below tries it.  Under that labeling the witness
-    meets every pairwise requirement, so no prune cuts it off and the
-    search reaches it (or another witness first).
+    None is exact.  In every witness the openers can form an antihole that
+    is a transversal of its ring parts: take any v0 in part 0 and, as pairs
+    (0, 1) and (1, 2) are linked, a neighbor v1 in part 1 and a neighbor v2
+    of v1 in part 2; rule "4" makes v0 and v2 adjacent.  Take any v3 and
+    v4, a neighbor v5 of v4 in part 5 (the pair (4, 5) is linked) and any
+    v6.  The witness meets every pairwise requirement, so no prune cuts it
+    off and the search reaches it (or another witness first).  A graph
+    without the antihole has no witness, so it gets None before any search.
 
-    One step is spent per search node; past ``budget`` steps
-    SearchBudgetExceeded is raised rather than a guess returned.
+    One step is spent per search node, openers included; past ``budget``
+    steps SearchBudgetExceeded is raised rather than a guess returned.
     """
     steps = 0
+    slots = [0] * 14
 
     def search(domains: dict[int, int]) -> HeptagramTypeWitness | None:
         nonlocal steps
@@ -686,8 +688,19 @@ def recognize_heptagram_type(
                 tuple(frozenset(iter_bits(m)) for m in slots[7:]),
             )
             return w.canonical() if verify_heptagram_type(g, w).ok else None
-        v = min(domains, key=lambda u: domains[u].bit_count())
-        for s in iter_bits(domains[v]):
+        i = next((i for i in range(7) if not slots[i]), None)
+        if i is None:
+            v = min(domains, key=lambda u: domains[u].bit_count())
+            choices = [(v, s) for s in iter_bits(domains[v])]
+        else:
+            seen = 0  # the openers of i's linked partners; slots[i] is empty
+            for pair in _LINKED_PAIRS_2 + _LINKED_PAIRS_3:
+                if i in pair:
+                    seen |= slots[pair[0]] | slots[pair[1]]
+            choices = [
+                (v, i) for v, d in domains.items() if d >> i & 1 and g.rows[v] & seen == seen
+            ]
+        for v, s in choices:
             rest = _narrow(g, domains, v, s)
             if rest is not None:
                 slots[s] |= 1 << v
@@ -697,20 +710,9 @@ def recognize_heptagram_type(
                     return found
         return None
 
-    if g.n < 7:
+    if not has_c7_complement(g):
         return None
-    for emb in iter_induced_embeddings(g, c7_complement()):
-        slots = [1 << v for v in emb] + [0] * 7
-        domains = dict.fromkeys(range(g.n), (1 << 14) - 1)
-        for i, v in enumerate(emb):
-            domains = _narrow(g, domains, v, i)
-            if domains is None:
-                break
-        else:
-            found = search(domains)
-            if found:
-                return found
-    return None
+    return search(dict.fromkeys(range(g.n), (1 << 14) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -759,12 +761,14 @@ def _validate_outer_sizes(y_sizes: tuple[int, ...]) -> None:
             )
 
 
+_CUSTOM_ATTEMPTS = 200  # random draws of the "custom" profile before giving up
+
+
 def generate_heptagram_type(
     w_sizes: Iterable[int],
     y_sizes: Iterable[int] | None = None,
     profile: str = "all_complete",
     rng: random.Random | None = None,
-    max_attempts: int = 200,
     stats_out: dict | None = None,
 ) -> tuple[Graph, HeptagramTypeWitness]:
     """Build a full-class instance with the given ring and outer sizes.
@@ -829,7 +833,7 @@ def generate_heptagram_type(
     linked_only = set(_LINKED_PAIRS_2) | set(_LINKED_PAIRS_3)
     complete_pairs = set(_COMPLETE_PAIRS)
     last_rule = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, _CUSTOM_ATTEMPTS + 1):
         edges = []
         for i, j in complete_pairs:
             for u in ring[i]:
@@ -869,9 +873,9 @@ def generate_heptagram_type(
             return g, cand
         last_rule = verdict.rule
     if stats_out is not None:
-        stats_out["attempts"] = max_attempts
+        stats_out["attempts"] = _CUSTOM_ATTEMPTS
     raise GenerationError(
-        f"no verifying instance after {max_attempts} draws "
+        f"no verifying instance after {_CUSTOM_ATTEMPTS} draws "
         f"(last violated rule: {last_rule})",
         rule=last_rule,
     )

@@ -457,6 +457,22 @@ class TestVerify:
         _, parallel, _ = run_cli(capsys, args + ["--workers", "2"])
         assert serial == parallel
 
+    def test_dichotomy_workers_match_serial(self, capsys, tmp_path):
+        # the workers run the cutset search and both recognizers as well
+        from heptalab.structures import generate_t11_type
+
+        g, _ = generate_t11_type([1, 2] + [1] * 9)
+        path = tmp_path / "in.g6"
+        path.write_text(
+            "\n".join((*RECOGNIZER_MISSES, C7BAR_G6, C5_G6, to_graph6(g).decode())) + "\n"
+        )
+        args = ["verify", str(path), "--theorem", "t2.3", "--no-timings"]
+        code, serial, _ = run_cli(capsys, args)
+        _, parallel, _ = run_cli(capsys, args + ["--workers", "2"])
+        assert code == 0 and serial == parallel
+        (v,) = json_lines(serial)
+        assert v["population"] == 7 and v["inconclusive"] == 0
+
 
 class TestGenerate:
     def test_t11_json_records(self, capsys):

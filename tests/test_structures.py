@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from heptalab.detect import (
     c7_complement,
     find_full_house,
     find_odd_hole,
+    has_c7_complement,
 )
 from heptalab.graph import Graph, from_graph6, relation
 from heptalab.structures import (
@@ -377,18 +379,56 @@ class TestRecognizeHeptagramType:
         assert w is not None and verify_heptagram_type(g, w).ok
 
     def test_matches_assignment_oracle(self):
-        # every class member on 7 and 8 vertices, as listed and relabeled
+        # every class member on 7 and 8 vertices, and T11 blow-ups with at
+        # most 14 vertices (each holds the antihole, so ring parts open
+        # before the search fails), as listed and relabeled
         rng = random.Random(78)
-        for n in (7, 8):
+        cases = [
+            g
+            for n in (7, 8)
+            for g in nonisomorphic_graphs(n)
+            if find_odd_hole(g) is None and find_full_house(g) is None
+        ]
+        for sizes in ([1] * 11, [1] * 5 + [2, 1, 2, 1, 1, 1], [2, 1, 1, 2] + [1] * 6 + [2]):
+            g, _ = generate_t11_type(sizes)
+            assert has_c7_complement(g)
+            cases.append(g)
+        for g in cases:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            for h in (g, g.relabel(perm)):
+                w = recognize_heptagram_type(h)
+                assert (w is None) == (heptagram_type_by_assignment(h) is None)
+                assert w is None or verify_heptagram_type(h, w).ok
+
+    def test_antihole_free_members_need_no_search(self):
+        # with no step to spend, every class member up to 8 vertices without
+        # the antihole still gets None, and every one with it runs out
+        for n in range(9):
             for g in nonisomorphic_graphs(n):
                 if find_odd_hole(g) is not None or find_full_house(g) is not None:
                     continue
-                perm = list(range(n))
-                rng.shuffle(perm)
-                for h in (g, g.relabel(perm)):
-                    w = recognize_heptagram_type(h)
-                    assert (w is None) == (heptagram_type_by_assignment(h) is None)
-                    assert w is None or verify_heptagram_type(h, w).ok
+                if has_c7_complement(g):
+                    with pytest.raises(SearchBudgetExceeded):
+                        recognize_heptagram_type(g, budget=0)
+                else:
+                    assert recognize_heptagram_type(g, budget=0) is None
+
+    def test_pinned_witnesses(self):
+        # graph6, source and canonical witness (14 parts, ring then outer,
+        # "|"-separated; "-" for None) of 124 graphs: the five former misses,
+        # the other 19 rows of bench/structured.tsv and 100 generated
+        # instances (50 per profile, seeded sizes), the last 119 relabeled
+        pins = Path(__file__).parent / "data" / "heptagram_pins.tsv"
+        lines = pins.read_text().splitlines()
+        for line in lines:
+            g6, _, want = line.split("\t")
+            w = recognize_heptagram_type(from_graph6(g6))
+            got = "-" if w is None else "|".join(
+                ",".join(map(str, sorted(p))) for p in w.ring + w.outer
+            )
+            assert got == want, g6
+        assert len(lines) == 124
 
     @settings(max_examples=40, deadline=None)
     @given(
