@@ -20,10 +20,11 @@ import time
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .coloring import MAX_EXACT_VERTICES, chromatic_number_exact
+from .coloring import chromatic_number_exact
 from .corpus import MAX_ENUMERATION_N, all_graphs_up_to
 from .detect import (
     DEFAULT_BUDGET,
+    Budget,
     SearchBudgetExceeded,
     clique_number,
     find_full_house,
@@ -41,7 +42,6 @@ from .structures import (
 )
 
 SCHEMA_VERSION = 1
-DETECTOR_BUDGET = 10**8
 # graphs handed to a worker process at a time when --workers is above 1
 POOL_CHUNKSIZE = 16
 
@@ -89,19 +89,18 @@ def _ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
 # ---------------------------------------------------------------------------
 
 
-def class_facts(g: Graph, *, stop_early: bool) -> tuple[dict, list[str]]:
+def class_facts(g: Graph, budget: int, *, stop_early: bool) -> tuple[dict, list[str]]:
     """The class facts of one graph and notes on the ones left undecided.
 
-    The facts are ``odd_hole_free`` (None when the search hit
-    DETECTOR_BUDGET), ``full_house_free``, ``omega``, ``chi`` (None above
-    MAX_EXACT_VERTICES vertices) and ``has_c7_complement``.  With
-    ``stop_early`` the work stops once the graph is not known to be
-    odd-hole-free: every theorem assumes that hypothesis, so nothing
-    further is consumed.
+    The facts are ``odd_hole_free`` and ``chi``, each None when its search
+    runs out of its ``budget`` steps, ``full_house_free``, ``omega`` and
+    ``has_c7_complement``.  With ``stop_early`` the work stops once the
+    graph is not known to be odd-hole-free: every theorem assumes that
+    hypothesis, so nothing further is consumed.
     """
     notes: list[str] = []
     try:
-        odd_hole_free = find_odd_hole(g, budget=DETECTOR_BUDGET) is None
+        odd_hole_free = find_odd_hole(g, Budget(budget)) is None
     except SearchBudgetExceeded:
         odd_hole_free = None
         notes.append("odd hole search hit its budget")
@@ -109,13 +108,13 @@ def class_facts(g: Graph, *, stop_early: bool) -> tuple[dict, list[str]]:
     if stop_early and not odd_hole_free:
         return facts, notes
     facts["full_house_free"] = find_full_house(g) is None
-    if g.n <= MAX_EXACT_VERTICES:
-        res = chromatic_number_exact(g)
+    try:
+        res = chromatic_number_exact(g, Budget(budget))
         facts["omega"], facts["chi"] = len(res.clique), res.chi
-    else:
+    except SearchBudgetExceeded:
         facts["omega"], _ = clique_number(g)
         facts["chi"] = None
-        notes.append(f"chromatic number skipped (n > {MAX_EXACT_VERTICES})")
+        notes.append("chromatic number search hit its budget")
     facts["has_c7_complement"] = has_c7_complement(g)
     return facts, notes
 
@@ -124,9 +123,10 @@ def analyze_graph(
     g: Graph, *, structures: bool = False, with_timings: bool = True
 ) -> dict:
     """Full per-graph report: class flags, clique and chromatic numbers, and
-    (on request, for class members) structure witnesses."""
+    (on request, for class members) structure witnesses.  Each search may
+    take DEFAULT_BUDGET steps."""
     t0 = time.perf_counter()
-    facts, notes = class_facts(g, stop_early=False)
+    facts, notes = class_facts(g, DEFAULT_BUDGET, stop_early=False)
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -148,7 +148,7 @@ def analyze_graph(
     if structures and facts["odd_hole_free"] and facts["full_house_free"]:
         found: dict = {}
         if g.is_connected() and g.n >= 3:
-            res = find_harmonious_cutset(g)
+            res = find_harmonious_cutset(g, Budget(DEFAULT_BUDGET))
             found["harmonious_status"] = res.status
             found["harmonious"] = (
                 res.partition.to_json_dict() if res.partition else None
@@ -158,7 +158,7 @@ def analyze_graph(
             found["harmonious"] = None
         t11 = recognize_t11_type(g)
         try:
-            hepta = recognize_heptagram_type(g)
+            hepta = recognize_heptagram_type(g, Budget(DEFAULT_BUDGET))
         except SearchBudgetExceeded:
             hepta = None
             notes.append("heptagram-type search hit its budget")
@@ -175,12 +175,12 @@ def analyze_graph(
 # ---------------------------------------------------------------------------
 
 
-def class_record(g: Graph) -> dict:
+def class_record(g: Graph, budget: int = DEFAULT_BUDGET) -> dict:
     """The per-graph facts the theorem checks consume.  Work stops at the
     first disqualifier: a graph with an odd hole is outside every
     hypothesis, so nothing further is computed for it, and one whose odd-hole
     search ran out of budget is inconclusive under every theorem."""
-    facts, _ = class_facts(g, stop_early=True)
+    facts, _ = class_facts(g, budget, stop_early=True)
     return {
         "graph6": to_graph6(g).decode("ascii"),
         "n": g.n,
@@ -193,7 +193,7 @@ def _theorem_record(g: Graph, theorem: str, budget: int) -> dict:
     """``class_record`` plus, under t2.3, the graph's ``dichotomy_outcome``
     as ``"dichotomy"``: the per-graph work ``evaluate_theorem`` hands to
     its workers."""
-    rec = class_record(g)
+    rec = class_record(g, budget)
     if theorem == "t2.3":
         rec["dichotomy"] = dichotomy_outcome(g, rec, budget)
     return rec
@@ -253,7 +253,7 @@ def dichotomy_outcome(g: Graph, rec: dict, budget: int) -> str:
         return "filtered"
     if not rec.get("full_house_free") or not rec.get("has_c7_complement"):
         return "filtered"
-    res = find_harmonious_cutset(g, budget)
+    res = find_harmonious_cutset(g, Budget(budget))
     if res.status == "found":
         return "filtered"
     if res.status == "inconclusive":
@@ -261,7 +261,7 @@ def dichotomy_outcome(g: Graph, rec: dict, budget: int) -> str:
     if recognize_t11_type(g) is not None:
         return "pass"
     try:
-        return "violation" if recognize_heptagram_type(g, budget) is None else "pass"
+        return "violation" if recognize_heptagram_type(g, Budget(budget)) is None else "pass"
     except SearchBudgetExceeded:
         return "inconclusive"
 
@@ -520,7 +520,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 had_error = True
                 continue
             try:
-                res = find_harmonious_cutset(g, args.budget)
+                res = find_harmonious_cutset(g, Budget(args.budget))
             except ValueError as exc:
                 record = _error_record(line_number, str(exc))
                 record["graph6"] = to_graph6(g).decode("ascii")
@@ -548,7 +548,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 WORKERS_HELP = "worker processes (default: $HEPTALAB_WORKERS, else 1)"
-BUDGET_HELP = "search steps allowed per harmonious-cutset or heptagram-type search"
+BUDGET_HELP = "search steps allowed to each exponential search"
 
 
 def _build_parser() -> argparse.ArgumentParser:

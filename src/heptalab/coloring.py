@@ -5,19 +5,18 @@ between a clique lower bound and a greedy upper bound; a value of chi is only
 reported once the (chi - 1)-search has been exhausted, and the result keeps
 the maximum clique it started from, so callers read omega off it.  Both the
 greedy and the search track each vertex's neighbor colors as a bitmask.  The
-two ``four_color_*`` helpers color verified witnesses by fixed class patterns
-instead of searching.
+search runs at any order under a ``detect.Budget``, each node costing one
+step per vertex.  The two ``four_color_*`` helpers color verified witnesses
+by fixed class patterns instead of searching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
-from .detect import clique_number
+from .detect import Budget, clique_number
 from .graph import Graph, iter_bits
-
-MAX_EXACT_VERTICES = 40
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,9 @@ def greedy_coloring(g: Graph) -> Coloring:
     return Coloring(colors, max(colors.values()) + 1)
 
 
-def _try_k_coloring(g: Graph, k: int, seed_clique: tuple[int, ...]) -> tuple[dict[int, int] | None, int]:
+def _try_k_coloring(
+    g: Graph, k: int, seed_clique: tuple[int, ...], budget: Budget
+) -> tuple[dict[int, int] | None, int]:
     """Exhaustive k-colorability with DSATUR ordering.
 
     The seed clique is pre-colored (any optimal coloring can be relabeled to
@@ -106,9 +107,10 @@ def _try_k_coloring(g: Graph, k: int, seed_clique: tuple[int, ...]) -> tuple[dic
         colors[v] = idx
     used_max = len(seed_clique) - 1
 
-    def pick() -> int:
-        best_v = -1
-        best_key = None
+    def branch(used_max: int) -> tuple[int, Iterator[int], int]:
+        """The uncolored vertex of most neighbor colors, then of highest
+        degree, then of lowest index, with the colors it may still take."""
+        best_v, best_key, banned = -1, None, 0
         for u in range(n):
             if colors[u] != -1:
                 continue
@@ -118,44 +120,40 @@ def _try_k_coloring(g: Graph, k: int, seed_clique: tuple[int, ...]) -> tuple[dic
                     seen |= 1 << colors[w]
             key = (seen.bit_count(), rows[u].bit_count())
             if best_key is None or key > best_key:  # ties keep the lowest index
-                best_key = key
-                best_v = u
-        return best_v
-
-    def solve(remaining: int, used_max: int) -> bool:
-        nonlocal nodes
-        if remaining == 0:
-            return True
-        v = pick()
-        banned = 0
-        for w in iter_bits(rows[v]):
-            if colors[w] != -1:
-                banned |= 1 << colors[w]
+                best_v, best_key, banned = u, key, seen
         cap = min(k - 1, used_max + 1)
-        for c in range(cap + 1):
-            if (banned >> c) & 1:
-                continue
-            nodes += 1
-            colors[v] = c
-            if solve(remaining - 1, max(used_max, c)):
-                return True
+        return best_v, (c for c in range(cap + 1) if not banned >> c & 1), used_max
+
+    # depth-first over an explicit stack, so no order is too deep to search
+    remaining = colors.count(-1)
+    stack = [branch(used_max)]
+    while remaining:
+        if not stack:
+            return None, nodes
+        v, options, used_max = stack[-1]
+        c = next(options, None)
+        if c is None:
             colors[v] = -1
-        return False
+            stack.pop()
+            continue
+        nodes += 1
+        budget.spend(n)
+        colors[v] = c
+        if len(stack) == remaining:
+            break
+        stack.append(branch(max(used_max, c)))
+    return {v: colors[v] for v in range(n)}, nodes
 
-    if solve(colors.count(-1), used_max):
-        return {v: colors[v] for v in range(n)}, nodes
-    return None, nodes
 
-
-def chromatic_number_exact(g: Graph) -> ChiResult:
+def chromatic_number_exact(g: Graph, budget: Budget | None = None) -> ChiResult:
     """Exact chromatic number with a certified optimal coloring.
 
     Ascends k from the clique bound; the answer k is certified because every
     smaller k (down to the clique number, below which no coloring can exist)
-    fails an exhaustive search.
+    fails an exhaustive search.  The searches share ``budget`` (a fresh
+    ``Budget()`` if None); an exhausted one raises SearchBudgetExceeded.
     """
-    if g.n > MAX_EXACT_VERTICES:
-        raise ValueError(f"exact coloring capped at {MAX_EXACT_VERTICES} vertices, got {g.n}")
+    budget = Budget() if budget is None else budget
     if g.n == 0:
         return ChiResult(0, Coloring({}, 0), 0, ())
     omega, witness = clique_number(g)
@@ -164,7 +162,7 @@ def chromatic_number_exact(g: Graph) -> ChiResult:
     if omega == upper.k:
         return ChiResult(omega, upper, 0, witness)
     for k in range(omega, upper.k):
-        found, nodes = _try_k_coloring(g, k, witness)
+        found, nodes = _try_k_coloring(g, k, witness, budget)
         total_nodes += nodes
         if found is not None:
             return ChiResult(k, Coloring(found, k), total_nodes, witness)

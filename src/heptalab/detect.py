@@ -8,7 +8,9 @@ complement, which is an induced 7-vertex antihole of the graph.
 ``is_perfect`` runs the odd-hole search on the graph and on its complement;
 ``find_full_house`` enumerates 4-cliques and scans for the attached fifth
 vertex.  Their deliberately simple exhaustive counterparts, used as
-cross-check oracles, live in the test suite (``tests/naive.py``).
+cross-check oracles, live in the test suite (``tests/naive.py``).  Every
+exponential search of the package charges its steps to a ``Budget``, whose
+``spend`` is the one place that raises ``SearchBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,23 @@ class SearchBudgetExceeded(RuntimeError):
     def __init__(self, steps: int) -> None:
         super().__init__(f"search budget exhausted after {steps} steps")
         self.steps = steps
+
+
+class Budget:
+    """Search steps allowed (``limit``) and spent so far (``spent``); one
+    budget may be shared by the stages of a search."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int = DEFAULT_BUDGET) -> None:
+        self.limit = limit
+        self.spent = 0
+
+    def spend(self, k: int = 1) -> None:
+        """Charge ``k`` steps; past the limit, raise SearchBudgetExceeded."""
+        self.spent += k
+        if self.spent > self.limit:
+            raise SearchBudgetExceeded(self.spent)
 
 
 @dataclass(frozen=True)
@@ -51,7 +70,7 @@ def c7_complement() -> Graph:
 
 
 def _induced_cycle(
-    rows: Sequence[int], n: int, shortest: int, longest: int, budget: int | None
+    rows: Sequence[int], n: int, shortest: int, longest: int, budget: Budget | None
 ) -> tuple[int, ...] | None:
     """A shortest induced cycle of odd length in ``shortest..longest``, or None.
 
@@ -59,11 +78,9 @@ def _induced_cycle(
     above r, closing cycles back at r, and returns the first cycle of length
     ``shortest`` at once.  A path is dropped as soon as no vertex is left
     that could still close it: adjacent to r, clear of the interior and
-    above path[1].  A ``budget`` bounds the number of extension steps;
-    exceeding it raises SearchBudgetExceeded.
+    above path[1].  Each extension step charges ``budget``, if any.
     """
     best: tuple[int, ...] | None = None
-    steps = 0
     for r in range(n - shortest + 1):
         higher = ~((1 << (r + 1)) - 1)
         root_row = rows[r]
@@ -79,9 +96,7 @@ def _induced_cycle(
                 head = path[-1]
                 k = len(path) - 1
                 if budget is not None:
-                    steps += 1
-                    if steps > budget:
-                        raise SearchBudgetExceeded(steps)
+                    budget.spend()
                 if k % 2 == 1 and k + 2 >= shortest:
                     for w in iter_bits(rows[head] & closable & ~mid_adj):
                         cycle = path + (w,)
@@ -100,13 +115,13 @@ def _induced_cycle(
     return best
 
 
-def find_odd_hole(g: Graph, budget: int | None = None) -> PatternHit | None:
+def find_odd_hole(g: Graph, budget: Budget | None = None) -> PatternHit | None:
     """Return a shortest induced odd cycle of length >= 5, or None.
 
-    A ``budget`` bounds the number of extension steps; exceeding it raises
-    SearchBudgetExceeded rather than returning a possibly wrong answer.
+    Each extension step charges ``budget`` (a fresh ``Budget()`` if None),
+    so an exhausted one raises rather than return a possibly wrong answer.
     """
-    cycle = _induced_cycle(g.rows, g.n, 5, g.n, budget)
+    cycle = _induced_cycle(g.rows, g.n, 5, g.n, Budget() if budget is None else budget)
     return None if cycle is None else PatternHit("odd_hole", cycle, len(cycle))
 
 

@@ -11,8 +11,8 @@ every vertex set that disconnects the graph and induces a bipartite or
 complete multipartite graph, the only shapes a harmonious cutset can take.
 A parity union-find settles in that pass which components of a bipartite
 set swap their two colors.  Pool and pass are exponential in the worst
-case, so the search and every check run under one budget of search steps
-and report "inconclusive" when it runs dry; neither ever guesses.
+case, so the search and every check charge a ``detect.Budget`` and report
+"inconclusive" when it runs dry; neither ever guesses.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from .coloring import Coloring
-from .detect import DEFAULT_BUDGET, SearchBudgetExceeded
+from .detect import Budget, SearchBudgetExceeded
 from .graph import Graph, iter_bits, mask_of
 
 
@@ -88,8 +88,8 @@ def _check_shape(g: Graph, p: HarmoniousPartition) -> None:
 
 
 def _parity_pass(
-    g: Graph, cut: int, classes: list[tuple[int, ...]], budget: int
-) -> tuple[list[int], tuple[int, ...] | None, int]:
+    g: Graph, cut: int, classes: list[tuple[int, ...]], budget: Budget
+) -> tuple[list[int], tuple[int, ...] | None]:
     """Check every induced path between ``cut`` vertices with its interior
     off ``cut`` against labels: even between equal labels, odd otherwise.
 
@@ -97,8 +97,8 @@ def _parity_pass(
     between two classes merges the later into the earlier, flipping its
     labels to suit the path (a parity union-find over the two-label classes
     of a bipartite cut); a class labeled 0 at its least vertex stays so.
-    Returns the labels, the first path at odds with them or None, and the
-    steps, one per search node; past ``budget`` raises SearchBudgetExceeded.
+    Returns the labels and the first path at odds with them or None; each
+    search node charges ``budget`` one step.
     """
     cls, label = [0] * g.n, [0] * g.n
     for c, masks in enumerate(classes):
@@ -107,7 +107,6 @@ def _parity_pass(
                 cls[v], label[v] = c, lab
     rows = g.rows
     interior = (1 << g.n) - 1 & ~cut
-    steps = 0
     for start in iter_bits(cut):
         # DFS from ``start``, closing at cut vertices above it; the stack
         # holds (head, path, mid_adj), mid_adj the neighbors of path minus head
@@ -115,15 +114,13 @@ def _parity_pass(
         stack: list[tuple[int, tuple[int, ...], int]] = [(start, (start,), 0)]
         while stack:
             head, path, mid_adj = stack.pop()
-            steps += 1
-            if steps > budget:
-                raise SearchBudgetExceeded(steps)
+            budget.spend()
             reach = rows[head] & ~mid_adj
             for b in iter_bits(reach & above):
                 odd = len(path) % 2  # edges: path vertices + b minus 1
                 if cls[b] == cls[start]:
                     if (label[b] == label[start]) == odd:
-                        return label, path + (b,), steps
+                        return label, path + (b,)
                     continue
                 keep, gone = sorted((cls[start], cls[b]))
                 flip = label[start] ^ label[b] ^ odd
@@ -134,26 +131,28 @@ def _parity_pass(
             new_mid = mid_adj | rows[head]
             for w in iter_bits(reach & interior):
                 stack.append((w, path + (w,), new_mid))
-    return label, None, steps
+    return label, None
 
 
 def verify_harmonious(
-    g: Graph, p: HarmoniousPartition, budget: int = DEFAULT_BUDGET
+    g: Graph, p: HarmoniousPartition, budget: Budget | None = None
 ) -> HarmonyVerdict:
     """Check the harmonious conditions by exhaustive induced-path search.
 
-    Returns yes, no with a concrete counterexample, or inconclusive when the
-    step budget is exhausted.  Stability of each part is subsumed by parity:
-    an edge inside a part is an odd same-part path of length one.
+    Returns yes, no with a concrete counterexample, or inconclusive when
+    ``budget`` (a fresh ``Budget()`` if None) is exhausted, with its spent
+    steps.  Stability of each part is subsumed by parity: an edge inside a
+    part is an odd same-part path of length one.
     """
     _check_shape(g, p)
+    budget = Budget() if budget is None else budget
 
     side_masks = (mask_of(p.sides[0]), mask_of(p.sides[1]))
     for u in p.sides[0]:
         leak = g.rows[u] & side_masks[1]
         if leak:
             v = (leak & -leak).bit_length() - 1
-            return HarmonyVerdict("no", HarmonyViolation("sides_connected", (u, v)), 0)
+            return HarmonyVerdict("no", HarmonyViolation("sides_connected", (u, v)), budget.spent)
 
     k = len(p.parts)
     part_masks = tuple(mask_of(part) for part in p.parts)
@@ -164,16 +163,16 @@ def verify_harmonious(
                 if missing:
                     v = (missing & -missing).bit_length() - 1
                     violation = HarmonyViolation("parts_not_complete", (u, v), (i, j))
-                    return HarmonyVerdict("no", violation, 0)
+                    return HarmonyVerdict("no", violation, budget.spent)
 
     try:
-        label, path, steps = _parity_pass(g, mask_of(p.cutset), [part_masks], budget)
-    except SearchBudgetExceeded as exc:
-        return HarmonyVerdict("inconclusive", None, exc.steps)
+        label, path = _parity_pass(g, mask_of(p.cutset), [part_masks], budget)
+    except SearchBudgetExceeded:
+        return HarmonyVerdict("inconclusive", None, budget.spent)
     if path is None:
-        return HarmonyVerdict("yes", None, steps)
+        return HarmonyVerdict("yes", None, budget.spent)
     pair = (label[path[0]], label[path[-1]])
-    return HarmonyVerdict("no", HarmonyViolation("parity", path, pair), steps)
+    return HarmonyVerdict("no", HarmonyViolation("parity", path, pair), budget.spent)
 
 
 @dataclass(frozen=True)
@@ -183,15 +182,16 @@ class CutsetSearchResult:
     steps: int
 
 
-def minimal_separators(g: Graph, budget: int | None = None) -> list[frozenset[int]]:
+def minimal_separators(g: Graph, budget: Budget | None = None) -> list[frozenset[int]]:
     """All inclusion-minimal vertex separators (sets with two components of
     their removal seeing all of them), sorted by (size, members).
 
     Berry-Bordat-Cogis closure (IJFCS 11(3), 2000): the separators are the
     neighborhoods of the components of g - N[v] for each vertex v, closed
     under taking those of g - (S | N(x)) for x in a separator S.  There can
-    be exponentially many, so past ``budget`` of them SearchBudgetExceeded
-    is raised."""
+    be exponentially many, so each one charges ``budget`` (a fresh
+    ``Budget()`` if None) a step."""
+    budget = Budget() if budget is None else budget
     rows = g.rows
     full = (1 << g.n) - 1
     found: list[int] = []
@@ -206,8 +206,7 @@ def minimal_separators(g: Graph, budget: int | None = None) -> list[frozenset[in
             if sep and sep not in seen:
                 seen.add(sep)
                 found.append(sep)
-                if budget is not None and len(found) > budget:
-                    raise SearchBudgetExceeded(len(found))
+                budget.spend()
 
     for v in range(g.n):
         collect(rows[v] | 1 << v)
@@ -287,48 +286,43 @@ def _cutset_pool(
                     yield cut, shape
 
 
-def find_harmonious_cutset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutsetSearchResult:
+def find_harmonious_cutset(g: Graph, budget: Budget | None = None) -> CutsetSearchResult:
     """Search every possible cutset for a verifiable harmonious partition.
 
     The search walks ``_cutset_pool`` with one ``_parity_pass`` per set.  As
     the least vertex of each class keeps label 0, a bipartite set gets the
     first of its two-colorings in flip order, so a hit is deterministic; it
     is checked again by ``verify_harmonious``, and "none" is a certificate.
-    A step is spent per minimal separator built, per cutset tried and per
-    parity-pass node; past ``budget`` steps the answer is "inconclusive".
+    Each minimal separator built, cutset tried and parity-pass node charges
+    ``budget`` (a fresh ``Budget()`` if None) a step, and ``steps`` reads
+    what it spent; when it runs dry the answer is "inconclusive".
     """
     if not g.is_connected():
         raise ValueError("input graph must be connected")
-    try:
-        separators = minimal_separators(g, budget)
-    except SearchBudgetExceeded as exc:
-        return CutsetSearchResult("inconclusive", None, exc.steps)
-    steps = len(separators)
+    budget = Budget() if budget is None else budget
     full = (1 << g.n) - 1
-    for cut, classes in _cutset_pool(g, separators):
-        steps += 1
-        if steps > budget:
-            return CutsetSearchResult("inconclusive", None, steps)
-        try:
-            label, path, spent = _parity_pass(g, cut, classes, budget - steps)
-        except SearchBudgetExceeded as exc:
-            return CutsetSearchResult("inconclusive", None, steps + exc.steps)
-        steps += spent
-        if path is not None:
-            continue
-        # each label up to the largest holds a vertex: 0 at the least one
-        parts = tuple(
-            frozenset(v for v in iter_bits(cut) if label[v] == i) for i in range(max(label) + 1)
-        )
-        rest = full & ~cut
-        first = g.component_of(rest & -rest, rest)
-        sides = (frozenset(iter_bits(first)), frozenset(iter_bits(rest & ~first)))
-        partition = HarmoniousPartition(parts, sides)
-        # the re-check repeats the pass that just fit in the budget
-        if verify_harmonious(g, partition, budget).status != "yes":
-            raise RuntimeError("parity pass accepted a partition the verifier rejects")
-        return CutsetSearchResult("found", partition, steps)
-    return CutsetSearchResult("none", None, steps)
+    try:
+        for cut, classes in _cutset_pool(g, minimal_separators(g, budget)):
+            budget.spend()
+            label, path = _parity_pass(g, cut, classes, budget)
+            if path is None:
+                break
+        else:
+            return CutsetSearchResult("none", None, budget.spent)
+    except SearchBudgetExceeded:
+        return CutsetSearchResult("inconclusive", None, budget.spent)
+    # each label up to the largest holds a vertex: 0 at the least one
+    parts = tuple(
+        frozenset(v for v in iter_bits(cut) if label[v] == i) for i in range(max(label) + 1)
+    )
+    rest = full & ~cut
+    first = g.component_of(rest & -rest, rest)
+    sides = (frozenset(iter_bits(first)), frozenset(iter_bits(rest & ~first)))
+    partition = HarmoniousPartition(parts, sides)
+    # the re-check gets a budget of its own: it repeats a pass that fit
+    if verify_harmonious(g, partition, Budget(budget.limit)).status != "yes":
+        raise RuntimeError("parity pass accepted a partition the verifier rejects")
+    return CutsetSearchResult("found", partition, budget.spent)
 
 
 def side_vertex_sets(g: Graph, p: HarmoniousPartition) -> tuple[frozenset[int], frozenset[int]]:

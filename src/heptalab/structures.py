@@ -25,12 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .detect import (
-    DEFAULT_BUDGET,
-    SearchBudgetExceeded,
-    find_induced_embedding,
-    has_c7_complement,
-)
+from .detect import Budget, find_induced_embedding, has_c7_complement
 from .graph import Graph, iter_bits, mask_of
 
 
@@ -644,7 +639,7 @@ def _narrow(g: Graph, domains: dict[int, int], v: int, s: int) -> dict[int, int]
 
 
 def recognize_heptagram_type(
-    g: Graph, budget: int = DEFAULT_BUDGET
+    g: Graph, budget: Budget | None = None
 ) -> HeptagramTypeWitness | None:
     """Recover a full-class witness, or None; exact within ``budget``.
 
@@ -671,17 +666,15 @@ def recognize_heptagram_type(
     off and the search reaches it (or another witness first).  A graph
     without the antihole has no witness, so it gets None before any search.
 
-    One step is spent per search node, openers included; past ``budget``
-    steps SearchBudgetExceeded is raised rather than a guess returned.
+    Each search node, openers included, charges ``budget`` (a fresh
+    ``Budget()`` if None) a step; an exhausted one raises
+    SearchBudgetExceeded rather than a guess returned.
     """
-    steps = 0
+    budget = Budget() if budget is None else budget
     slots = [0] * 14
 
     def search(domains: dict[int, int]) -> HeptagramTypeWitness | None:
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            raise SearchBudgetExceeded(steps)
+        budget.spend()
         if not domains:
             w = HeptagramTypeWitness(
                 tuple(frozenset(iter_bits(m)) for m in slots[:7]),

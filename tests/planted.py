@@ -1,7 +1,9 @@
 """Seeded construction of graphs with a known harmonious cutset.
 
-Three families, all with bipartite or near-bipartite sides so that both
-side subgraphs are odd-hole-free (needed by the composition checks):
+``glued_instances`` chains ring-family class members at single vertices.
+The planted instances come in three families, all with bipartite or
+near-bipartite sides so that both side subgraphs are odd-hole-free (needed
+by the composition checks):
 
   A. two even cycles sharing one vertex, or sharing two vertices at even
      distance along both cycles (cutset = the shared vertices, one part)
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 from heptalab.graph import Graph
 from heptalab.harmonious import HarmoniousPartition
+from heptalab.structures import generate_heptagram_type, generate_t11_type
 
 
 @dataclass(frozen=True)
@@ -112,4 +115,34 @@ def planted_instances(count: int, seed: int) -> list[PlantedInstance]:
     for i in range(count):
         out.append(_FAMILIES[i % len(_FAMILIES)](rng))
     assert all(inst.graph.n <= 20 for inst in out)
+    return out
+
+
+def glued_instances(blocks: int, seed: int) -> list[Graph]:
+    """Chains of class members glued at single vertices (1-sums): the i-th
+    graph is the chain of the first i + 1 blocks.  Blocks alternate between
+    heptagram-type instances (ring parts of 1-3 vertices) and T11 blow-ups
+    (parts of 1-2 vertices); each new block shares one random vertex with
+    the chain so far.  Odd holes and the full house are 2-connected, so
+    every chain stays in the class; every block has omega = 3 and the
+    first holds the 7-vertex antihole, so every chain has omega = 3 and
+    chi = 4, and each glue vertex is a cut vertex."""
+    rng = random.Random(seed)
+    n, edges, out = 0, [], []
+    for i in range(blocks):
+        if i % 2 == 0:
+            h, _ = generate_heptagram_type([rng.randint(1, 3) for _ in range(7)])
+        else:
+            h, _ = generate_t11_type([rng.randint(1, 2) for _ in range(11)])
+        if n:  # h's vertex b becomes the chain's vertex a
+            a, b = rng.randrange(n), rng.randrange(h.n)
+            fresh = iter(range(n, n + h.n - 1))
+            name = [a if v == b else next(fresh) for v in range(h.n)]
+            n += h.n - 1
+        else:
+            name, n = list(range(h.n)), h.n
+        edges += [
+            (name[u], name[v]) for u in range(h.n) for v in range(u + 1, h.n) if h.adjacent(u, v)
+        ]
+        out.append(Graph.from_edges(n, edges))
     return out

@@ -11,7 +11,7 @@ import heptalab
 from heptalab import cli
 from heptalab.cli import analyze_graph, class_record, main
 from heptalab.corpus import MAX_ENUMERATION_N, all_graphs_up_to
-from heptalab.detect import c7_complement
+from heptalab.detect import Budget, c7_complement
 from heptalab.graph import Graph, from_graph6, to_graph6
 from heptalab.harmonious import HarmoniousPartition, verify_harmonious
 
@@ -20,6 +20,7 @@ from .naive import (
     naive_chromatic,
     odd_holes_by_isomorphism,
 )
+from .planted import glued_instances
 
 C7BAR_G6 = to_graph6(c7_complement()).decode("ascii")
 C5_G6 = to_graph6(Graph.cycle(5)).decode("ascii")
@@ -283,25 +284,42 @@ class TestOnePipeline:
                 if key in rec:
                     assert rec[key] == value, (rec["graph6"], key)
 
-    def test_chi_skipped_above_exact_cap(self):
-        assert analyze_graph(Graph.empty(40), with_timings=False)["chi"] == 1
-        report = analyze_graph(Graph.empty(41), with_timings=False)
-        assert report["chi"] is None
-        assert report["notes"] == ["chromatic number skipped (n > 40)"]
+    def test_chi_at_every_order(self):
+        # no size cap: exact chi on 41 vertices, and on a 55-vertex glued
+        # class member (omega 3 with the antihole, so chi 4)
+        assert analyze_graph(Graph.empty(41), with_timings=False)["chi"] == 1
+        g = glued_instances(4, seed=1)[-1]
+        assert g.n == 55
+        report = analyze_graph(g, with_timings=False)
+        assert (report["omega"], report["chi"], report["notes"]) == (3, 4, [])
+
+    def test_exhausted_chi_budget_is_null(self, monkeypatch):
+        # the 5-cycle's odd hole costs 3 steps, its chi search 5 per node
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 3)
+        report = analyze_graph(Graph.cycle(5), with_timings=False)
+        assert report["flags"]["odd_hole_free"] is False
+        assert (report["omega"], report["chi"]) == (2, None)
+        assert report["notes"] == ["chromatic number search hit its budget"]
 
     def test_exhausted_odd_hole_budget_is_inconclusive(
         self, capsys, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(cli, "DETECTOR_BUDGET", 1)
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 1)
         path = tmp_path / "in.g6"
         path.write_text(C7BAR_G6 + "\n")
         code, out, _ = run_cli(capsys, ["analyze", str(path), "--no-timings"])
         (rec,) = json_lines(out)
         assert code == 0
         assert rec["flags"]["odd_hole_free"] is None
-        assert rec["notes"] == ["odd hole search hit its budget"]
+        # the chi search gets the same budget of one step
+        assert rec["notes"] == [
+            "odd hole search hit its budget",
+            "chromatic number search hit its budget",
+        ]
         code, out, _ = run_cli(
-            capsys, ["verify", str(path), "--theorem", "t1.4-bound", "--no-timings"]
+            capsys,
+            ["verify", str(path), "--theorem", "t1.4-bound", "--budget", "1"]
+            + ["--no-timings"],
         )
         (v,) = json_lines(out)
         assert code == 2
@@ -313,12 +331,12 @@ class TestOnePipeline:
         g = from_graph6(RECOGNIZER_MISSES[0])
         rec = class_record(g)
         real = cli.recognize_heptagram_type
-        monkeypatch.setattr(cli, "recognize_heptagram_type", lambda h, budget=0: real(h, 10))
+        monkeypatch.setattr(cli, "recognize_heptagram_type", lambda h, budget: real(h, Budget(10)))
         report = analyze_graph(g, structures=True, with_timings=False)
         assert report["structures"]["heptagram_type"] is None
         assert report["notes"] == ["heptagram-type search hit its budget"]
         assert cli.dichotomy_outcome(g, rec, 10**6) == "inconclusive"
-        monkeypatch.setattr(cli, "recognize_heptagram_type", lambda h, budget=0: None)
+        monkeypatch.setattr(cli, "recognize_heptagram_type", lambda h, budget: None)
         assert cli.dichotomy_outcome(g, rec, 10**6) == "violation"
 
 
@@ -389,15 +407,17 @@ class TestVerify:
         assert v["seed"] == 5
 
     def test_inconclusive_exit_code(self, capsys, tmp_path):
-        # 44 vertices exceeds the exact-coloring cap, so the bound check
-        # cannot finish and must say so rather than guess
+        # the odd-hole search of this 44-vertex class member needs 4,616
+        # steps, more than --budget allows, so the bound check cannot
+        # finish and must say so rather than guess
         from heptalab.structures import generate_t11_type
 
         g, _ = generate_t11_type([4] * 11)
         path = tmp_path / "big.g6"
         path.write_text(to_graph6(g).decode() + "\n")
         code, out, _ = run_cli(
-            capsys, ["verify", str(path), "--theorem", "t1.4-bound", "--no-timings"]
+            capsys,
+            ["verify", str(path), "--theorem", "t1.4-bound", "--budget", "1000", "--no-timings"],
         )
         assert code == 2
         (v,) = json_lines(out)

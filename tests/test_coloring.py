@@ -13,7 +13,7 @@ from heptalab.coloring import (
     greedy_coloring,
     is_proper,
 )
-from heptalab.detect import c7_complement, clique_number
+from heptalab.detect import Budget, SearchBudgetExceeded, c7_complement, clique_number
 from heptalab.graph import Graph, from_graph6, is_clique
 from heptalab.structures import (
     HeptagramTypeWitness,
@@ -53,9 +53,28 @@ class TestExactChromatic:
                 assert clique_number(g)[0] <= res.chi
             assert is_clique(g, res.clique) and len(res.clique) == clique_number(g)[0]
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            chromatic_number_exact(Graph.empty(41))
+    def test_no_size_cap(self):
+        res = chromatic_number_exact(Graph.empty(41))
+        assert (res.chi, res.nodes_explored) == (1, 0)
+
+    def test_budget(self):
+        # every node of the chi search charges n steps; an exhausted budget
+        # raises, and one that suffices gives the unbudgeted answer
+        g = c7_complement()
+        done = Budget()
+        res = chromatic_number_exact(g, done)
+        assert res.chi == 4 and done.spent == res.nodes_explored * g.n
+        with pytest.raises(SearchBudgetExceeded):
+            chromatic_number_exact(g, Budget(done.spent - 1))
+        again = chromatic_number_exact(g, Budget(done.spent))
+        assert (again.chi, again.nodes_explored) == (res.chi, res.nodes_explored)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # an odd cycle longer than Python's recursion limit: the clique is
+        # one edge and every other vertex is a level of the search
+        g = Graph.cycle(1201)
+        res = chromatic_number_exact(g)
+        assert res.chi == 3 and is_proper(g, res.coloring)
 
     def test_pinned_search_and_greedy(self):
         # 200 seeded G(n, 1/2), n = 8-14 (random.Random(808)), with chi, the

@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from heptalab.detect import (
+    Budget,
     PatternHit,
     SearchBudgetExceeded,
     c7_complement,
@@ -82,8 +83,8 @@ class TestOddHole:
     def test_budget_exhaustion(self):
         g = Graph.circulant(16, (1, 3))
         with pytest.raises(SearchBudgetExceeded):
-            find_odd_hole(g, budget=3)
-        assert find_odd_hole(g, budget=10_000) == find_odd_hole(g)
+            find_odd_hole(g, Budget(3))
+        assert find_odd_hole(g, Budget(10_000)) == find_odd_hole(g)
 
     def test_long_holes_verified(self):
         for n in (13, 15):

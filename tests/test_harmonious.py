@@ -6,7 +6,7 @@ import pytest
 from heptalab import harmonious
 from heptalab.coloring import Coloring, chromatic_number_exact, greedy_coloring, is_proper
 from heptalab.corpus import all_graphs_up_to
-from heptalab.detect import DEFAULT_BUDGET, c7_complement, find_full_house, find_odd_hole
+from heptalab.detect import Budget, c7_complement, find_full_house, find_odd_hole
 from heptalab.graph import Graph, induced_subgraph, iter_bits, mask_of
 from heptalab.detect import SearchBudgetExceeded
 from heptalab.structures import generate_heptagram_type, generate_t11_type
@@ -153,7 +153,7 @@ class TestVerify:
 
     def test_budget_exhaustion_inconclusive(self):
         inst = planted_instances(4, seed=5)[1]
-        verdict = verify_harmonious(inst.graph, inst.partition, budget=1)
+        verdict = verify_harmonious(inst.graph, inst.partition, Budget(1))
         assert verdict.status == "inconclusive"
 
     def test_planted_families_verify(self):
@@ -190,9 +190,9 @@ class TestSeparators:
     def test_budget_caps_separators_found(self):
         g = Graph.cycle(8)  # its minimal separators: the 20 non-adjacent pairs
         count = len(minimal_separators(g))
-        assert len(minimal_separators(g, budget=count)) == count
+        assert len(minimal_separators(g, Budget(count))) == count
         with pytest.raises(SearchBudgetExceeded):
-            minimal_separators(g, budget=count - 1)
+            minimal_separators(g, Budget(count - 1))
 
 
 class TestPool:
@@ -266,7 +266,7 @@ class TestSearch:
     def test_budget_runs_out_while_separators_are_built(self, monkeypatch):
         g = c7_complement()
         tried = record_pool(monkeypatch)
-        res = find_harmonious_cutset(g, budget=len(minimal_separators(g)) - 1)
+        res = find_harmonious_cutset(g, Budget(len(minimal_separators(g)) - 1))
         assert res.status == "inconclusive" and res.partition is None
         assert tried == []
 
@@ -275,7 +275,7 @@ class TestSearch:
         separators = minimal_separators(g)
         done = find_harmonious_cutset(g)
         tried = record_pool(monkeypatch)
-        res = find_harmonious_cutset(g, budget=done.steps - 1)
+        res = find_harmonious_cutset(g, Budget(done.steps - 1))
         assert res.status == "inconclusive" and res.steps == done.steps
         assert len(tried) > len(separators)  # past the separators
 
@@ -291,7 +291,7 @@ class TestParityPass:
         assert len(classes) == 3
         all_false = next(_candidate_partitions(_adjacency(g), cut))
         assert all_false == (frozenset({0, 3, 5}),)
-        label, path, _ = harmonious._parity_pass(g, cut, classes, DEFAULT_BUDGET)
+        label, path = harmonious._parity_pass(g, cut, classes, Budget())
         assert path is None
         assert [label[v] for v in (0, 3, 5)] == [0, 1, 1]
         expected = first_harmonious_candidate(g, _adjacency(g), cut)
@@ -309,7 +309,7 @@ class TestParityPass:
             for cut, classes in harmonious._cutset_pool(g, minimal_separators(g)):
                 if len(classes) < 3:
                     continue
-                label, path, _ = harmonious._parity_pass(g, cut, classes, DEFAULT_BUDGET)
+                label, path = harmonious._parity_pass(g, cut, classes, Budget())
                 expected = first_harmonious_candidate(g, _adjacency(g), cut)
                 if path is not None:
                     assert expected is None, (n, cut)
@@ -325,7 +325,7 @@ class TestParityPass:
         pool = harmonious._cutset_pool(g, minimal_separators(g))
         cut, classes = next(pool)
         assert cut == mask_of((1, 2)) and len(classes) == 2
-        _, path, _ = harmonious._parity_pass(g, cut, classes, DEFAULT_BUDGET)
+        _, path = harmonious._parity_pass(g, cut, classes, Budget())
         assert path is not None and {path[0], path[-1]} == {1, 2}
         assert first_harmonious_candidate(g, _adjacency(g), cut) is None
         res = find_harmonious_cutset(g)
@@ -341,7 +341,7 @@ class TestParityPass:
         cut = mask_of((0, 1, 2, 3))
         classes = harmonious._shape(g.rows, cut)
         assert classes == [(mask_of((0, 1)), 1 << 2, 1 << 3)]
-        _, path, _ = harmonious._parity_pass(g, cut, classes, DEFAULT_BUDGET)
+        _, path = harmonious._parity_pass(g, cut, classes, Budget())
         assert path == (0, 4, 5, 1)
         p = HarmoniousPartition(
             (frozenset({0, 1}), frozenset({2}), frozenset({3})),
@@ -354,7 +354,7 @@ class TestParityPass:
     def test_budget_one_short_is_inconclusive(self):
         for g in (five_cycle_with_triangle(), Graph.cycle(8), Graph.cycle(9)):
             done = find_harmonious_cutset(g)
-            res = find_harmonious_cutset(g, budget=done.steps - 1)
+            res = find_harmonious_cutset(g, Budget(done.steps - 1))
             assert res.status == "inconclusive" and res.partition is None, g
             assert res.steps == done.steps, g
 
@@ -362,7 +362,7 @@ class TestParityPass:
         g = five_cycle_with_triangle()
         calls = []
 
-        def refusing(g, p, budget=DEFAULT_BUDGET):
+        def refusing(g, p, budget=None):
             calls.append(p)
             return harmonious.HarmonyVerdict("no", None, 0)
 

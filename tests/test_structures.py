@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from heptalab.corpus import nonisomorphic_graphs
 from heptalab.detect import (
+    Budget,
     SearchBudgetExceeded,
     c7_complement,
     find_full_house,
@@ -410,9 +411,9 @@ class TestRecognizeHeptagramType:
                     continue
                 if has_c7_complement(g):
                     with pytest.raises(SearchBudgetExceeded):
-                        recognize_heptagram_type(g, budget=0)
+                        recognize_heptagram_type(g, Budget(0))
                 else:
-                    assert recognize_heptagram_type(g, budget=0) is None
+                    assert recognize_heptagram_type(g, Budget(0)) is None
 
     def test_pinned_witnesses(self):
         # graph6, source and canonical witness (14 parts, ring then outer,
@@ -474,7 +475,7 @@ class TestRecognizeHeptagramType:
     def test_budget(self):
         g, _ = generate_t11_type([2] * 11)
         with pytest.raises(SearchBudgetExceeded):
-            recognize_heptagram_type(g, budget=1000)
+            recognize_heptagram_type(g, Budget(1000))
         assert recognize_heptagram_type(g) is None
 
 
