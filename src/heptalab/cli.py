@@ -112,8 +112,7 @@ def class_facts(g: Graph, budget: int, *, stop_early: bool) -> tuple[dict, list[
         res = chromatic_number_exact(g, Budget(budget))
         facts["omega"], facts["chi"] = len(res.clique), res.chi
     except SearchBudgetExceeded:
-        facts["omega"], _ = clique_number(g)
-        facts["chi"] = None
+        facts["omega"], facts["chi"] = clique_number(g)[0], None
         notes.append("chromatic number search hit its budget")
     facts["has_c7_complement"] = has_c7_complement(g)
     return facts, notes

@@ -98,8 +98,6 @@ def _try_k_coloring(
     and the number of search nodes, or ``None`` and the node count.
     """
     n = g.n
-    if len(seed_clique) > k:
-        return None, 0
     rows = g.rows
     colors = [-1] * n
     nodes = 0
@@ -108,8 +106,7 @@ def _try_k_coloring(
     used_max = len(seed_clique) - 1
 
     def branch(used_max: int) -> tuple[int, Iterator[int], int]:
-        """The uncolored vertex of most neighbor colors, then of highest
-        degree, then of lowest index, with the colors it may still take."""
+        # the vertex to color next (DSATUR) and the colors it may still take
         best_v, best_key, banned = -1, None, 0
         for u in range(n):
             if colors[u] != -1:

@@ -36,8 +36,6 @@ class Budget:
     """Search steps allowed (``limit``) and spent so far (``spent``); one
     budget may be shared by the stages of a search."""
 
-    __slots__ = ("limit", "spent")
-
     def __init__(self, limit: int = DEFAULT_BUDGET) -> None:
         self.limit = limit
         self.spent = 0

@@ -107,9 +107,10 @@ def _parity_pass(
                 cls[v], label[v] = c, lab
     rows = g.rows
     interior = (1 << g.n) - 1 & ~cut
-    for start in iter_bits(cut):
-        # DFS from ``start``, closing at cut vertices above it; the stack
-        # holds (head, path, mid_adj), mid_adj the neighbors of path minus head
+    for start in iter_bits(cut & ~(1 << (cut.bit_length() - 1))):
+        # DFS from ``start``, closing at cut vertices above it (so none from
+        # the largest); the stack holds (head, path, mid_adj), mid_adj the
+        # neighbors of path minus head
         above = cut & ~((1 << (start + 1)) - 1)
         stack: list[tuple[int, tuple[int, ...], int]] = [(start, (start,), 0)]
         while stack:
@@ -300,7 +301,6 @@ def find_harmonious_cutset(g: Graph, budget: Budget | None = None) -> CutsetSear
     if not g.is_connected():
         raise ValueError("input graph must be connected")
     budget = Budget() if budget is None else budget
-    full = (1 << g.n) - 1
     try:
         for cut, classes in _cutset_pool(g, minimal_separators(g, budget)):
             budget.spend()
@@ -315,7 +315,7 @@ def find_harmonious_cutset(g: Graph, budget: Budget | None = None) -> CutsetSear
     parts = tuple(
         frozenset(v for v in iter_bits(cut) if label[v] == i) for i in range(max(label) + 1)
     )
-    rest = full & ~cut
+    rest = (1 << g.n) - 1 & ~cut
     first = g.component_of(rest & -rest, rest)
     sides = (frozenset(iter_bits(first)), frozenset(iter_bits(rest & ~first)))
     partition = HarmoniousPartition(parts, sides)

@@ -655,7 +655,8 @@ def recognize_heptagram_type(
     whose relation is open), so the seven openers induce the 7-vertex
     antihole.  Then it branches on a vertex with the fewest slots left.  It
     prunes on an empty domain, runs the full verifier at each leaf, and
-    returns the first witness that passes, in canonical form.
+    returns the first witness that passes, in canonical form.  A failed
+    opener of part 0 loses slot 0: any vertex of part 0 can open it (below).
 
     None is exact.  In every witness the openers can form an antihole that
     is a transversal of its ring parts: take any v0 in part 0 and, as pairs
@@ -701,6 +702,8 @@ def recognize_heptagram_type(
                 slots[s] &= ~(1 << v)
                 if found:
                     return found
+            if i == 0:  # only at the root: any vertex of part 0 can open it
+                domains[v] &= ~1
         return None
 
     if not has_c7_complement(g):

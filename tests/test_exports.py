@@ -10,6 +10,11 @@ def test_all_names_resolve_and_are_not_modules():
         assert not inspect.ismodule(obj), name
 
 
+def test_budget_is_exported():
+    assert heptalab.Budget is heptalab.detect.Budget
+    assert "Budget" in heptalab.__all__
+
+
 def test_every_public_import_is_exported():
     public = {
         name

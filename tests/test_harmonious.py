@@ -32,7 +32,7 @@ from .naive import (
     minimal_separators_by_subsets,
     shaped_cutsets_by_subsets,
 )
-from .planted import planted_instances
+from .planted import glued_instances, planted_instances
 
 
 def random_connected_graphs(
@@ -281,6 +281,17 @@ class TestSearch:
 
 
 class TestParityPass:
+    def test_cut_vertex_of_a_long_chain_is_cheap(self):
+        # no path can close at the last cut vertex, so its DFS is skipped:
+        # a glued class member on 174 vertices with 11 cut vertices gets
+        # "found" well inside the default budget
+        g = glued_instances(12, seed=1)[-1]
+        assert g.n == 174
+        res = find_harmonious_cutset(g)
+        assert res.status == "found" and len(res.partition.cutset) == 1
+        assert res.steps < 1000
+        assert verify_harmonious(g, res.partition).status == "yes"
+
     def test_three_components_take_the_first_consistent_flip(self):
         # in the 8-cycle, the cutset {0, 3, 5} splits into three singleton
         # components; paths 0..3 and 5..0 are odd and 3..5 is even, so only
