@@ -24,7 +24,7 @@ from heptalab.structures import (
 
 from .planted import planted_instances
 
-SOURCES = sorted((Path(heptalab.__file__).parent).glob("*.py"))
+SOURCES = sorted(Path(heptalab.__file__).parent.glob("*.py"))
 SEARCHES = (
     find_odd_hole,
     minimal_separators,
@@ -82,7 +82,8 @@ def test_one_budget_is_shared_by_the_stages():
     assert res.steps == budget.spent > separators
 
 
-def _raises_of_budget_exceeded(tree):
+def _budget_raises(tree):
+    """The ``raise SearchBudgetExceeded(...)`` statements under ``tree``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
@@ -91,15 +92,19 @@ def _raises_of_budget_exceeded(tree):
 
 
 def test_only_budget_spend_raises():
-    raisers = []
+    found = []  # (module, whether the raise sits in Budget.spend)
     for path in SOURCES:
         tree = ast.parse(path.read_text())
-        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-            for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
-                raisers += [(path.name, cls.name, fn.name) for _ in _raises_of_budget_exceeded(fn)]
-        total = sum(1 for _ in _raises_of_budget_exceeded(tree))
-        assert total == sum(1 for r in raisers if r[0] == path.name), path.name
-    assert raisers == [("detect.py", "Budget", "spend")]
+        in_spend = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "Budget"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "spend"
+            for node in _budget_raises(fn)
+        }
+        found += [(path.name, id(node) in in_spend) for node in _budget_raises(tree)]
+    assert found == [("detect.py", True)]
 
 
 def test_no_second_budget_mechanism():
