@@ -7,7 +7,6 @@ correct for larger graphs because Python ints are unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 GRAPH6_HEADER = b">>graph6<<"
@@ -296,55 +295,6 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
         if (g.rows[v] & sel) != sel ^ (1 << v):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class SetRelation:
-    """How two disjoint vertex sets see each other.
-
-    ``complete``: every cross pair is an edge.  ``anticomplete``: no cross
-    edges at all.  ``linked``: every vertex on each side has at least one
-    neighbor on the other.  ``label`` reports the strongest that applies.
-    """
-
-    complete: bool
-    anticomplete: bool
-    linked: bool
-
-    @property
-    def label(self) -> str:
-        if self.complete:
-            return "complete"
-        if self.anticomplete:
-            return "anticomplete"
-        if self.linked:
-            return "linked"
-        return "mixed"
-
-
-def relation(g: Graph, a: Iterable[int], b: Iterable[int]) -> SetRelation:
-    am = mask_of(a)
-    bm = mask_of(b)
-    if (am | bm) >> g.n:
-        raise ValueError("vertex outside range")
-    if am & bm:
-        raise ValueError("sets overlap")
-    complete = True
-    anticomplete = True
-    linked = True
-    for u in iter_bits(am):
-        hit = g.rows[u] & bm
-        if hit != bm:
-            complete = False
-        if hit:
-            anticomplete = False
-        else:
-            linked = False
-    for v in iter_bits(bm):
-        if not g.rows[v] & am:
-            linked = False
-            break
-    return SetRelation(complete, anticomplete, linked)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,8 @@ from heptalab.detect import (
 from heptalab.graph import Graph, induced_subgraph, to_graph6
 from heptalab.harmonious import merge_colorings, side_vertex_sets, verify_harmonious
 from heptalab.structures import (
-    HeptagramWitness,
     generate_heptagram_type,
     generate_t11_type,
-    heptagram_consequences,
     recognize_heptagram_type,
     recognize_t11_type,
     verify_heptagram_type,
@@ -48,6 +46,7 @@ from heptalab.structures import (
 )
 
 from .conftest import summary_lines
+from .lemmas import HeptagramWitness, heptagram_consequences
 from .naive import (
     full_houses_by_degree,
     naive_chromatic,

@@ -14,11 +14,11 @@ from heptalab.graph import (
     induced_subgraph,
     is_clique,
     is_stable_set,
-    relation,
     to_graph6,
 )
 from heptalab.structures import generate_t11_type
 
+from .lemmas import relation
 from .naive import to_networkx
 
 

@@ -14,27 +14,30 @@ from heptalab.detect import (
     find_odd_hole,
     has_c7_complement,
 )
-from heptalab.graph import Graph, from_graph6, relation
+from heptalab.graph import Graph, from_graph6
 from heptalab.structures import (
     GenerationError,
     HeptagramTypeWitness,
-    HeptagramWitness,
     StructureVerdict,
     T11Witness,
-    Tail,
-    classify_outside_vertices,
-    classify_vertex,
-    find_tails,
     generate_heptagram_type,
     generate_t11_type,
-    heptagram_consequences,
     recognize_heptagram_type,
     recognize_t11_type,
-    verify_heptagram,
     verify_heptagram_type,
     verify_t11_type,
 )
 
+from .lemmas import (
+    HeptagramWitness,
+    Tail,
+    classify_outside_vertices,
+    classify_vertex,
+    find_tails,
+    heptagram_consequences,
+    relation,
+    verify_heptagram,
+)
 from .naive import heptagram_type_by_assignment, t11_sizes_by_twins
 from .test_cli import RECOGNIZER_MISSES
 
