@@ -26,9 +26,6 @@ class Coloring:
     colors: Mapping[int, int]
     k: int
 
-    def color_of(self, v: int) -> int:
-        return self.colors[v]
-
 
 @dataclass(frozen=True)
 class ChiResult:

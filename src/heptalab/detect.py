@@ -263,7 +263,7 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
                 best = list(current)
             return
         # greedy coloring of the candidate set
-        color_of: dict[int, int] = {}
+        colors: dict[int, int] = {}
         seq: list[int] = []
         rest = cand
         color = 0
@@ -272,13 +272,13 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
             avail = rest
             while avail:
                 v = (avail & -avail).bit_length() - 1
-                color_of[v] = color
+                colors[v] = color
                 seq.append(v)
                 avail &= ~rows[v] & ~((1 << (v + 1)) - 1)
                 rest ^= 1 << v
         pool = cand
         for v in reversed(seq):
-            if len(current) + color_of[v] <= len(best):
+            if len(current) + colors[v] <= len(best):
                 return
             current.append(v)
             expand(current, pool & rows[v])

@@ -254,11 +254,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def complement(g: Graph) -> Graph:
-    """Graph on the same vertices whose edges are exactly the non-edges."""
-    return g.complement()
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph plus the index map (new index -> original vertex).
 

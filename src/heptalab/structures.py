@@ -11,7 +11,7 @@ The toolkit works with two part systems:
 Rule identifiers are opaque labels; each verifier's docstring states what
 the numbered rules check.  Everything here is pure and deterministic:
 verifiers scan exhaustively, the 11-ring recognizer reads its witness off
-one core embedding, the full-class recognizer runs one budgeted,
+the false-twin classes, the full-class recognizer runs one budgeted,
 forward-checked backtracking search whose first levels pick the antihole
 that opens the ring parts, and generators build instances part by part.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .detect import Budget, find_induced_embedding, has_c7_complement
-from .graph import Graph, iter_bits, mask_of
+from .graph import Graph, induced_subgraph, iter_bits, mask_of
 
 
 class GenerationError(ValueError):
@@ -332,33 +332,29 @@ def verify_heptagram_type(g: Graph, w: HeptagramTypeWitness) -> StructureVerdict
 
 
 def recognize_t11_type(g: Graph) -> T11Witness | None:
-    """Recover an 11-ring witness, or None; exact, from one core embedding.
+    """Recover an 11-ring witness, or None; exact, read off the false-twin
+    classes.
 
     The vertices of one part of a witness are false twins (the part is
     stable, and every pair of parts is complete or anticomplete), while the
-    11-vertex (3,4,5)-circulant core has no false twins.  So an induced copy
-    of the core meets each part exactly once, and its index map is an
-    automorphism of the core: every vertex of the part holding core vertex
-    i sees exactly the core vertices that i sees.  No two core vertices see
-    the same ones, so each vertex fits exactly one index.  One pass
-    therefore assigns every vertex by its neighborhood on the first
-    embedding found; a vertex that fits no index, or a witness that fails
-    verification, shows that ``g`` is not of the type.
+    11-vertex (3,4,5)-circulant core has no false twins, so vertices of
+    different parts have different rows.  The classes of equal rows are
+    therefore the parts.  A graph with other than 11 classes is not of the
+    type; otherwise an induced copy of the core in the quotient on one
+    vertex per class orders the classes around the ring, and a missing copy
+    or a witness that fails verification shows that ``g`` is not of the type.
     """
-    if g.n < 11:
+    classes: dict[int, int] = {}  # row -> its vertices, by least vertex
+    for v, row in enumerate(g.rows):
+        classes[row] = classes.get(row, 0) | 1 << v
+    if len(classes) != 11:
         return None
-    core = Graph.circulant(11, (3, 4, 5))
-    emb = find_induced_embedding(g, core)
+    masks = list(classes.values())  # in the quotient's order: masks[j] is its vertex j
+    quotient, _ = induced_subgraph(g, [_first_bit(m) for m in masks])
+    emb = find_induced_embedding(quotient, Graph.circulant(11, (3, 4, 5)))
     if emb is None:
         return None
-    index_of = {core.rows[i]: i for i in range(11)}
-    masks = [0] * 11
-    for v in range(g.n):
-        i = index_of.get(sum(1 << j for j in range(11) if g.rows[v] >> emb[j] & 1))
-        if i is None:
-            return None
-        masks[i] |= 1 << v
-    w = T11Witness(tuple(frozenset(iter_bits(m)) for m in masks))
+    w = T11Witness(tuple(frozenset(iter_bits(masks[j])) for j in emb))
     return w.canonical() if verify_t11_type(g, w).ok else None
 
 
@@ -436,16 +432,13 @@ def recognize_heptagram_type(
     SearchBudgetExceeded rather than a guess returned.
     """
     budget = Budget() if budget is None else budget
+    if not has_c7_complement(g):
+        return None
     slots = [0] * 14
 
-    def search(domains: dict[int, int]) -> HeptagramTypeWitness | None:
+    def node(domains: dict[int, int]) -> list:
+        """A search node charged one step: [domains, choices, next choice, i]."""
         budget.spend()
-        if not domains:
-            w = HeptagramTypeWitness(
-                tuple(frozenset(iter_bits(m)) for m in slots[:7]),
-                tuple(frozenset(iter_bits(m)) for m in slots[7:]),
-            )
-            return w.canonical() if verify_heptagram_type(g, w).ok else None
         i = next((i for i in range(7) if not slots[i]), None)
         if i is None:
             v = min(domains, key=lambda u: domains[u].bit_count())
@@ -458,21 +451,37 @@ def recognize_heptagram_type(
             choices = [
                 (v, i) for v, d in domains.items() if d >> i & 1 and g.rows[v] & seen == seen
             ]
-        for v, s in choices:
-            rest = _narrow(g, domains, v, s)
-            if rest is not None:
-                slots[s] |= 1 << v
-                found = search(rest)
-                slots[s] &= ~(1 << v)
-                if found:
-                    return found
+        return [domains, choices, 0, i]
+
+    stack = [node(dict.fromkeys(range(g.n), (1 << 14) - 1))]
+    while stack:
+        frame = stack[-1]
+        domains, choices, k, i = frame
+        if k:  # the subtree of choice k - 1 is done
+            v, s = choices[k - 1]
+            slots[s] &= ~(1 << v)
             if i == 0:  # only at the root: any vertex of part 0 can open it
                 domains[v] &= ~1
-        return None
-
-    if not has_c7_complement(g):
-        return None
-    return search(dict.fromkeys(range(g.n), (1 << 14) - 1))
+        if k == len(choices):
+            stack.pop()
+            continue
+        frame[2] = k + 1
+        v, s = choices[k]
+        rest = _narrow(g, domains, v, s)
+        if rest is None:
+            continue
+        slots[s] |= 1 << v
+        if rest:
+            stack.append(node(rest))
+            continue
+        budget.spend()  # a leaf: every vertex is placed
+        w = HeptagramTypeWitness(
+            tuple(frozenset(iter_bits(m)) for m in slots[:7]),
+            tuple(frozenset(iter_bits(m)) for m in slots[7:]),
+        )
+        if verify_heptagram_type(g, w).ok:
+            return w.canonical()
+    return None
 
 
 # ---------------------------------------------------------------------------

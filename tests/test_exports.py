@@ -1,4 +1,7 @@
+import ast
+import importlib
 import inspect
+from pathlib import Path
 
 import heptalab
 
@@ -22,3 +25,38 @@ def test_every_public_import_is_exported():
         if not name.startswith("_") and not inspect.ismodule(obj)
     }
     assert public == set(heptalab.__all__)
+
+
+SOURCES = sorted(Path(heptalab.__file__).parent.glob("*.py"))
+MOVED_TO_TESTS = (
+    "HeptagramWitness",
+    "verify_heptagram",
+    "VertexClassification",
+    "Tail",
+    "classify_vertex",
+    "find_tails",
+    "classify_outside_vertices",
+    "heptagram_consequences",
+    "SetRelation",
+    "relation",
+)
+
+
+def test_ring_lemma_checkers_stay_out_of_the_package():
+    # they are test oracles in tests/lemmas.py; no search or CLI path calls them
+    for path in SOURCES:
+        module = importlib.import_module(f"heptalab.{path.stem}".removesuffix(".__init__"))
+        for name in MOVED_TO_TESTS:
+            assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_package_never_imports_the_tests():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "tests" or n.startswith("tests.") for n in names), path.name

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from heptalab.graph import (
     Graph,
     Graph6Error,
-    complement,
     from_graph6,
     induced_subgraph,
     is_clique,
@@ -172,24 +171,24 @@ class TestComplement:
         rng = random.Random(9)
         for _ in range(30):
             g = random_graph(rng, rng.randint(0, 14))
-            assert complement(complement(g)) == g
+            assert g.complement().complement() == g
 
     def test_cycle_seven(self):
-        h = complement(Graph.cycle(7))
+        h = Graph.cycle(7).complement()
         assert all(h.degree(v) == 4 for v in h.vertices())
         assert h == Graph.circulant(7, (2, 3))
 
     def test_complete_becomes_empty(self):
-        assert complement(Graph.complete(6)) == Graph.empty(6)
+        assert Graph.complete(6).complement() == Graph.empty(6)
 
     def test_commutes_with_induced_subgraph(self):
         rng = random.Random(10)
         for _ in range(30):
             g = random_graph(rng, 10)
             vs = rng.sample(range(10), 6)
-            a, _ = induced_subgraph(complement(g), vs)
+            a, _ = induced_subgraph(g.complement(), vs)
             b, _ = induced_subgraph(g, vs)
-            assert a == complement(b)
+            assert a == b.complement()
 
 
 class TestInducedSubgraph:

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heptalab import structures
 from heptalab.corpus import nonisomorphic_graphs
 from heptalab.detect import (
     Budget,
     SearchBudgetExceeded,
     c7_complement,
     find_full_house,
+    find_induced_embedding,
     find_odd_hole,
     has_c7_complement,
 )
@@ -232,6 +234,21 @@ class TestRecognizeT11:
 
     def test_too_small(self):
         assert recognize_t11_type(c7_complement()) is None
+
+    def test_embeds_only_in_the_twin_quotient(self, monkeypatch):
+        hosts = []
+
+        def spy(host, pattern):
+            hosts.append(host.n)
+            return find_induced_embedding(host, pattern)
+
+        monkeypatch.setattr(structures, "find_induced_embedding", spy)
+        g, _ = generate_t11_type([30] * 11)
+        w = recognize_t11_type(g)
+        assert w is not None and w.size_vector() == (30,) * 11
+        rng = random.Random(40)
+        assert recognize_t11_type(Graph.from_edge_mask(40, rng.getrandbits(780))) is None
+        assert hosts and set(hosts) == {11}
 
     def test_near_miss(self):
         g, _ = generate_t11_type([1] * 11)
@@ -484,6 +501,14 @@ class TestRecognizeHeptagramType:
         # a deterministic work count: 73,887 while failed openers of part 0
         # kept slot 0 for the later openers
         assert budget.spent == 38_239
+
+    def test_large_instance_runs_without_recursion(self):
+        # one search level per placed vertex: 1,001 levels would overflow
+        # the interpreter's call stack
+        g, _ = generate_heptagram_type([143] * 7)
+        w = recognize_heptagram_type(g)
+        assert w is not None and verify_heptagram_type(g, w).ok
+        assert w.size_vector() == ((143,) * 7, (0,) * 7)
 
 
 class TestGenerators:
