@@ -13,7 +13,7 @@ by fixed class patterns instead of searching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .detect import Budget, clique_number
 from .graph import Graph, iter_bits
