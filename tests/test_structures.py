@@ -503,8 +503,8 @@ class TestRecognizeHeptagramType:
         assert budget.spent == 38_239
 
     def test_large_instance_runs_without_recursion(self):
-        # one search level per placed vertex: 1,001 levels would overflow
-        # the interpreter's call stack
+        # one search level per placed vertex: 1,001 levels are more than
+        # Python's default recursion limit, so the search must not recurse
         g, _ = generate_heptagram_type([143] * 7)
         w = recognize_heptagram_type(g)
         assert w is not None and verify_heptagram_type(g, w).ok
