@@ -10,10 +10,12 @@ The toolkit works with two part systems:
 
 Rule identifiers are opaque labels; each verifier's docstring states what
 the numbered rules check.  Everything here is pure and deterministic:
-verifiers scan exhaustively, the 11-ring recognizer reads its witness off
-the false-twin classes, the full-class recognizer runs one budgeted,
-forward-checked backtracking search whose first levels pick the antihole
-that opens the ring parts, and generators build instances part by part.
+verifiers scan exhaustively, and generators build instances part by part.
+Both recognizers work on the false-twin quotient (one vertex per class of
+equal rows) and lift its witness back: the 11-ring one reads its witness
+off the classes, and the full-class one runs one budgeted, forward-checked
+backtracking search whose first levels pick the antihole that opens the
+ring parts.
 """
 
 from __future__ import annotations
@@ -331,6 +333,19 @@ def verify_heptagram_type(g: Graph, w: HeptagramTypeWitness) -> StructureVerdict
 # ---------------------------------------------------------------------------
 
 
+def _twin_quotient(g: Graph) -> tuple[list[int], Graph]:
+    """The false-twin classes of ``g`` (masks of vertices with equal rows,
+    in order of least vertex) and the graph induced on one vertex per
+    class, whose vertex j stands for class j.  Every row is a union of
+    classes, so the quotient has no false twins."""
+    classes: dict[int, int] = {}
+    for v, row in enumerate(g.rows):
+        classes[row] = classes.get(row, 0) | 1 << v
+    masks = list(classes.values())
+    quotient, _ = induced_subgraph(g, [_first_bit(m) for m in masks])
+    return masks, quotient
+
+
 def recognize_t11_type(g: Graph) -> T11Witness | None:
     """Recover an 11-ring witness, or None; exact, read off the false-twin
     classes.
@@ -344,17 +359,13 @@ def recognize_t11_type(g: Graph) -> T11Witness | None:
     vertex per class orders the classes around the ring, and a missing copy
     or a witness that fails verification shows that ``g`` is not of the type.
     """
-    classes: dict[int, int] = {}  # row -> its vertices, by least vertex
-    for v, row in enumerate(g.rows):
-        classes[row] = classes.get(row, 0) | 1 << v
+    classes, quotient = _twin_quotient(g)
     if len(classes) != 11:
         return None
-    masks = list(classes.values())  # in the quotient's order: masks[j] is its vertex j
-    quotient, _ = induced_subgraph(g, [_first_bit(m) for m in masks])
     emb = find_induced_embedding(quotient, Graph.circulant(11, (3, 4, 5)))
     if emb is None:
         return None
-    w = T11Witness(tuple(frozenset(iter_bits(masks[j])) for j in emb))
+    w = T11Witness(tuple(frozenset(iter_bits(classes[j])) for j in emb))
     return w.canonical() if verify_t11_type(g, w).ok else None
 
 
@@ -398,25 +409,23 @@ def _narrow(g: Graph, domains: dict[int, int], v: int, s: int) -> dict[int, int]
     return out
 
 
-def recognize_heptagram_type(
-    g: Graph, budget: Budget | None = None
-) -> HeptagramTypeWitness | None:
-    """Recover a full-class witness, or None; exact within ``budget``.
+def _slot_search(g: Graph, budget: Budget) -> HeptagramTypeWitness | None:
+    """The first full-class witness of ``g`` that a forward-checked
+    backtracking search meets, or None; exact.
 
-    Every vertex gets one of the 14 slots (ring parts and outer groups) by
-    backtracking.  Each slot pair has a required relation
-    (``_slot_relation``: stable slots, the complete and anticomplete ring
-    pairs, outer groups seeing no ring part at +-1 or +-2, consecutive outer
-    groups complete, the rest anticomplete), so a placed vertex narrows the
-    slot domain of every other vertex.  While a ring part is empty, the
-    search branches on which vertex opens the first empty part i: one that
-    still has slot i and sees the openers of i's linked partners (the pairs
-    in ``_LINKED_PAIRS_2`` and ``_LINKED_PAIRS_3``, the only ring pairs
-    whose relation is open), so the seven openers induce the 7-vertex
-    antihole.  Then it branches on a vertex with the fewest slots left.  It
-    prunes on an empty domain, runs the full verifier at each leaf, and
-    returns the first witness that passes, in canonical form.  A failed
-    opener of part 0 loses slot 0: any vertex of part 0 can open it (below).
+    Every vertex gets one of the 14 slots (ring parts and outer groups).
+    Each slot pair has a required relation (``_slot_relation``: stable
+    slots, the complete and anticomplete ring pairs, outer groups seeing no
+    ring part at +-1 or +-2, consecutive outer groups complete, the rest
+    anticomplete), so a placed vertex narrows the slot domain of every other
+    vertex.  While a ring part is empty, the search branches on which vertex
+    opens the first empty part i: one that still has slot i and sees the
+    openers of i's linked partners (the pairs in ``_LINKED_PAIRS_2`` and
+    ``_LINKED_PAIRS_3``, the only ring pairs whose relation is open), so the
+    seven openers induce the 7-vertex antihole.  Then it branches on a
+    vertex with the fewest slots left.  It prunes on an empty domain and
+    runs the full verifier at each leaf.  A failed opener of part 0 loses
+    slot 0: any vertex of part 0 can open it (below).
 
     None is exact.  In every witness the openers can form an antihole that
     is a transversal of its ring parts: take any v0 in part 0 and, as pairs
@@ -424,16 +433,10 @@ def recognize_heptagram_type(
     of v1 in part 2; rule "4" makes v0 and v2 adjacent.  Take any v3 and
     v4, a neighbor v5 of v4 in part 5 (the pair (4, 5) is linked) and any
     v6.  The witness meets every pairwise requirement, so no prune cuts it
-    off and the search reaches it (or another witness first).  A graph
-    without the antihole has no witness, so it gets None before any search.
+    off and the search reaches it (or another witness first).
 
-    Each search node, openers included, charges ``budget`` (a fresh
-    ``Budget()`` if None) a step; an exhausted one raises
-    SearchBudgetExceeded rather than a guess returned.
+    Each search node, openers included, charges ``budget`` a step.
     """
-    budget = Budget() if budget is None else budget
-    if not has_c7_complement(g):
-        return None
     slots = [0] * 14
 
     def node(domains: dict[int, int]) -> list:
@@ -480,8 +483,56 @@ def recognize_heptagram_type(
             tuple(frozenset(iter_bits(m)) for m in slots[7:]),
         )
         if verify_heptagram_type(g, w).ok:
-            return w.canonical()
+            return w
     return None
+
+
+def recognize_heptagram_type(
+    g: Graph, budget: Budget | None = None
+) -> HeptagramTypeWitness | None:
+    """Recover a full-class witness, or None; exact within ``budget``.
+
+    A graph without the 7-vertex antihole has no witness (``_slot_search``
+    shows that the ring parts hold one), so it gets None before any search.
+    Otherwise ``_slot_search`` runs on the false-twin quotient
+    (``_twin_quotient``), each part of its witness is lifted to the union of
+    its classes, and the lifted witness, checked once on ``g``, is returned
+    in canonical form.
+
+    None is exact, because a witness of ``g`` and one of its quotient
+    correspond.  Twins share a slot: take false twins u and v in different
+    slots.  Their slots are not required adjacent, as twins are
+    nonadjacent.  Ring parts s and s+3 are split by ring part s-1: every
+    ring pair at distance 1 is complete or linked, so u has a neighbor in
+    s-1, and s+3 is at distance 3 from s-1, so v has none.  The linked pairs
+    (0,1), (1,2), (4,5) and (0,2) are split the same way, by ring parts 3,
+    6, 2 and 5 respectively, and the other ring pairs at distance 1 or 2 are
+    complete.  A ring vertex in part s sees exactly the four ring parts
+    s+-1 and s+-2, and one of outer group j exactly ring parts j, j+3 and
+    j+4 (rule "6"), so a vertex of an outer group has no twin on the ring
+    or in another outer group.  Adjacency between classes is therefore well
+    defined: restricting a witness of ``g`` to one vertex per class keeps
+    every nonempty slot nonempty and every rule true, and lifting a witness
+    of the quotient gives a witness of ``g``.
+
+    Each search node charges ``budget`` (a fresh ``Budget()`` if None) a
+    step; an exhausted one raises SearchBudgetExceeded rather than a guess
+    returned.
+    """
+    budget = Budget() if budget is None else budget
+    if not has_c7_complement(g):
+        return None
+    classes, quotient = _twin_quotient(g)
+    found = _slot_search(quotient, budget)
+    if found is None:
+        return None
+    parts = [
+        frozenset(v for j in p for v in iter_bits(classes[j])) for p in found.ring + found.outer
+    ]
+    w = HeptagramTypeWitness(tuple(parts[:7]), tuple(parts[7:]))
+    if not verify_heptagram_type(g, w).ok:
+        raise RuntimeError("a lifted quotient witness fails on the input graph")
+    return w.canonical()
 
 
 # ---------------------------------------------------------------------------

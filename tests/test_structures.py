@@ -16,7 +16,7 @@ from heptalab.detect import (
     find_odd_hole,
     has_c7_complement,
 )
-from heptalab.graph import Graph, from_graph6
+from heptalab.graph import Graph, from_graph6, induced_subgraph
 from heptalab.structures import (
     GenerationError,
     HeptagramTypeWitness,
@@ -414,6 +414,12 @@ class TestRecognizeHeptagramType:
             g, _ = generate_t11_type(sizes)
             assert has_c7_complement(g)
             cases.append(g)
+        # twin-rich members: ring parts of two or three vertices
+        for ring, outer in (
+            ([2, 3, 2, 2, 3, 2, 2], [0] * 7),
+            ([3, 2, 2, 3, 2, 2, 3], [1, 0, 0, 2, 0, 0, 0]),
+        ):
+            cases.append(generate_heptagram_type(ring, outer)[0])
         for g in cases:
             perm = list(range(g.n))
             rng.shuffle(perm)
@@ -493,14 +499,16 @@ class TestRecognizeHeptagramType:
             assert w is not None and verify_heptagram_type(h, w).ok
 
     def test_budget(self):
-        g, _ = generate_t11_type([2] * 11)
-        with pytest.raises(SearchBudgetExceeded):
-            recognize_heptagram_type(g, Budget(1000))
-        budget = Budget()
-        assert recognize_heptagram_type(g, budget) is None
-        # a deterministic work count: 73,887 while failed openers of part 0
-        # kept slot 0 for the later openers
-        assert budget.spent == 38_239
+        # a deterministic work count, the same for every part size because
+        # the search runs on the 11-vertex twin quotient; [2]*11 took 38,239
+        # steps while the search ran on the input graph
+        for k in (1, 2, 3):
+            g, _ = generate_t11_type([k] * 11)
+            with pytest.raises(SearchBudgetExceeded):
+                recognize_heptagram_type(g, Budget(678))
+            budget = Budget()
+            assert recognize_heptagram_type(g, budget) is None
+            assert budget.spent == 679
 
     def test_large_instance_runs_without_recursion(self):
         # one search level per placed vertex: 1,001 levels are more than
@@ -509,6 +517,125 @@ class TestRecognizeHeptagramType:
         w = recognize_heptagram_type(g)
         assert w is not None and verify_heptagram_type(g, w).ok
         assert w.size_vector() == ((143,) * 7, (0,) * 7)
+
+    def test_searches_only_the_twin_quotient(self, monkeypatch):
+        hosts = []
+        slot_search = structures._slot_search
+
+        def spy(host, budget):
+            hosts.append(host)
+            return slot_search(host, budget)
+
+        monkeypatch.setattr(structures, "_slot_search", spy)
+        g, _ = generate_heptagram_type([143] * 7)
+        assert recognize_heptagram_type(g).size_vector() == ((143,) * 7, (0,) * 7)
+        g, _ = generate_t11_type([3] * 11)
+        assert recognize_heptagram_type(g) is None
+        assert [h.n for h in hosts] == [7, 11]
+        assert all(len(set(h.rows)) == h.n for h in hosts)
+
+    def test_antihole_free_graphs_build_no_quotient(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("twin quotient built before the antihole check")
+
+        monkeypatch.setattr(structures, "_twin_quotient", refuse)
+        checked = 0
+        for g in nonisomorphic_graphs(7):
+            if not has_c7_complement(g):
+                assert recognize_heptagram_type(g) is None
+                checked += 1
+        assert checked == 1043  # every graph on 7 vertices but the antihole
+
+    def test_lifted_witness_is_checked_on_the_input(self, monkeypatch):
+        # a lift that keeps only the least vertex of each class covers too
+        # little of g, so the check on g must refuse it
+        twin_quotient = structures._twin_quotient
+
+        def least_only(g):
+            classes, quotient = twin_quotient(g)
+            return [c & -c for c in classes], quotient
+
+        monkeypatch.setattr(structures, "_twin_quotient", least_only)
+        g, _ = generate_heptagram_type([2, 1, 1, 1, 1, 1, 1])
+        with pytest.raises(RuntimeError):
+            recognize_heptagram_type(g)
+
+
+def twin_classes(g: Graph) -> list[set[int]]:
+    """The false-twin classes of g, read off its edge list."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    classes: dict[frozenset[int], set[int]] = {}
+    for v in range(g.n):
+        classes.setdefault(frozenset(nbrs[v]), set()).add(v)
+    return list(classes.values())
+
+
+def seeded_members(seed: int, count: int):
+    """Relabeled heptagram-type instances of both profiles, ring parts of
+    one to three vertices and outer groups of up to two."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ring = [rng.randint(1, 3) for _ in range(7)]
+        outer = [rng.randint(0, 2) for _ in range(7)]
+        for i in range(7):  # keep an empty group in every window of three
+            if outer[i] and outer[(i + 1) % 7]:
+                outer[(i + 2) % 7] = 0
+        profile = ("all_complete", "custom")[len(out) % 2]
+        try:
+            g, _ = generate_heptagram_type(ring, outer, profile=profile, rng=rng)
+        except GenerationError:
+            continue
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(g.relabel(perm))
+    return out
+
+
+class TestTwinLemma:
+    """False twins share a slot of every heptagram-type witness, so adding
+    or removing one keeps the recognizer's answer."""
+
+    def test_twin_classes_share_a_part(self):
+        for g in seeded_members(2026, 30):
+            w = recognize_heptagram_type(g)
+            assert w is not None and verify_heptagram_type(g, w).ok
+            for cls in twin_classes(g):
+                assert any(cls <= p for p in w.ring + w.outer), cls
+
+    def test_added_twin_joins_its_original(self):
+        rng = random.Random(7)
+        for g in seeded_members(7, 20):
+            v = rng.randrange(g.n)
+            h = g.with_vertex(g.rows[v])
+            w = recognize_heptagram_type(h)
+            assert w is not None and verify_heptagram_type(h, w).ok
+            assert any({v, g.n} <= p for p in w.ring + w.outer)
+
+    def test_added_twin_keeps_t11_blowups_out(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            g, _ = generate_t11_type([rng.randint(1, 3) for _ in range(11)])
+            h = g.with_vertex(g.rows[rng.randrange(g.n)])
+            assert has_c7_complement(h)
+            assert recognize_heptagram_type(h) is None
+
+    def test_removed_twin_keeps_a_witness(self):
+        rng = random.Random(13)
+        removed = 0
+        for g in seeded_members(13, 20):
+            big = [c for c in twin_classes(g) if len(c) >= 2]
+            if not big:
+                continue
+            v = rng.choice(sorted(rng.choice(big)))
+            h, _ = induced_subgraph(g, (u for u in range(g.n) if u != v))
+            w = recognize_heptagram_type(h)
+            assert w is not None and verify_heptagram_type(h, w).ok
+            removed += 1
+        assert removed >= 10
 
 
 class TestGenerators:
