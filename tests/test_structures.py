@@ -500,8 +500,7 @@ class TestRecognizeHeptagramType:
 
     def test_budget(self):
         # a deterministic work count, the same for every part size because
-        # the search runs on the 11-vertex twin quotient; [2]*11 took 38,239
-        # steps while the search ran on the input graph
+        # the search runs on the 11-vertex twin quotient
         for k in (1, 2, 3):
             g, _ = generate_t11_type([k] * 11)
             with pytest.raises(SearchBudgetExceeded):
