@@ -15,6 +15,7 @@ import io
 import json
 import multiprocessing
 import os
+import random
 import sys
 import time
 from typing import Callable, Iterable, Iterator, Sequence
@@ -455,25 +456,25 @@ def _random_outer_sizes(rng) -> list[int]:
     return sizes
 
 
+def _int_list(text: str | None, flag: str) -> list[int] | None:
+    """The integers of a comma-separated ``flag`` value, or None if not given."""
+    try:
+        return [int(tok) for tok in text.split(",")] if text else None
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated integer list") from None
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
-    import random as _random
-
-    rng = _random.Random(args.seed)
-    fixed_sizes = None
-    if args.sizes:
-        try:
-            fixed_sizes = [int(tok) for tok in args.sizes.split(",")]
-        except ValueError:
-            print("--sizes must be a comma-separated integer list", file=sys.stderr)
-            return 3
-    fixed_outer = None
-    if args.ysizes:
-        try:
-            fixed_outer = [int(tok) for tok in args.ysizes.split(",")]
-        except ValueError:
-            print("--ysizes must be a comma-separated integer list", file=sys.stderr)
-            return 3
-
+    if args.count < 0:
+        print(f"--count must be at least 0, got {args.count}", file=sys.stderr)
+        return 3
+    try:
+        fixed_sizes = _int_list(args.sizes, "--sizes")
+        fixed_outer = _int_list(args.ysizes, "--ysizes")
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 3
+    rng = random.Random(args.seed)
     for index in range(args.count):
         try:
             if args.kind == "t11":

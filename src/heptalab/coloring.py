@@ -6,8 +6,8 @@ reported once the (chi - 1)-search has been exhausted, and the result keeps
 the maximum clique it started from, so callers read omega off it.  Both the
 greedy and the search track each vertex's neighbor colors as a bitmask.  The
 search runs at any order under a ``detect.Budget``, each node costing one
-step per vertex.  The two ``four_color_*`` helpers color verified witnesses
-by fixed class patterns instead of searching.
+step per vertex.  The ring families' 4-colorings need no search; they live
+in ``structures``, next to the pair tables they read.
 """
 
 from __future__ import annotations
@@ -161,48 +161,3 @@ def chromatic_number_exact(g: Graph, budget: Budget | None = None) -> ChiResult:
         if found is not None:
             return ChiResult(k, Coloring(found, k), total_nodes, witness)
     return ChiResult(upper.k, upper, total_nodes, witness)
-
-
-def four_color_t11(g: Graph, witness) -> Coloring:
-    """Proper 4-coloring of a verified eleven-class ring witness.
-
-    Consecutive ring classes are pairwise non-adjacent out to distance two,
-    so the runs {0,1,2}, {3,4,5}, {6,7,8}, {9,10} are color classes.
-    """
-    from .structures import verify_t11_type
-
-    verdict = verify_t11_type(g, witness)
-    if not verdict.ok:
-        raise ValueError(f"witness failed verification: rule {verdict.rule}")
-    colors: dict[int, int] = {}
-    for part_idx, part in enumerate(witness.parts):
-        cls = min(part_idx // 3, 3)
-        for v in part:
-            colors[v] = cls
-    return Coloring(colors, 4)
-
-
-_RING_CLASS = (0, 1, 2, 0, 1, 2, 3)  # ring part -> color class, pairs 3 apart share
-# outer group i -> color class, missing the classes of ring parts i, i+3, i+4
-# and of outer group i+1 (checked in the test suite)
-_OUTER_CLASS = (2, 0, 1, 2, 3, 0, 1)
-
-
-def four_color_heptagram_type(g: Graph, witness) -> Coloring:
-    """Proper 4-coloring of a verified heptagram-type witness.
-
-    Ring parts three apart are anticomplete, which fixes the four ring
-    color classes.  An outer group sees only ring parts i, i+3, i+4 and the
-    outer groups beside it, so the fixed outer table completes the coloring.
-    """
-    from .structures import verify_heptagram_type
-
-    verdict = verify_heptagram_type(g, witness)
-    if not verdict.ok:
-        raise ValueError(f"witness failed verification: rule {verdict.rule}")
-    colors: dict[int, int] = {}
-    for table, groups in ((_RING_CLASS, witness.ring), (_OUTER_CLASS, witness.outer)):
-        for i, part in enumerate(groups):
-            for v in part:
-                colors[v] = table[i]
-    return Coloring(colors, 4)

@@ -234,8 +234,6 @@ def verify_hit(g: Graph, hit: PatternHit, pattern: Graph | None = None) -> bool:
             pattern = full_house_graph()
         elif hit.kind == "c7_complement":
             pattern = c7_complement()
-        elif hit.kind == "k4":
-            pattern = Graph.complete(4)
         else:
             raise ValueError(f"cannot re-derive pattern for kind {hit.kind!r}")
     if len(set(hit.vertices)) != pattern.n:

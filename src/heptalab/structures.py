@@ -1,29 +1,33 @@
 """Recognition machinery for the two structured graph classes.
 
-The toolkit works with two part systems:
+The toolkit works with two part systems, each defined once by a pair
+table that gives every part pair a demand and the rule a failure reports:
 
-* an 11-part ring where consecutive parts (distance 1 and 2) are
-  anticomplete and distant parts (distance 3, 4, 5) are complete;
-* a 7-part ring with seven optional stable outer groups, each attached
-  to one ring part and the two parts opposite it, under rules "1"
-  through "10" checked by ``verify_heptagram_type``.
+* ``_t11_rule``: an 11-part ring where consecutive parts (distance 1 and
+  2) are anticomplete and distant parts (distance 3, 4, 5) are complete;
+* ``_slot_rule``: a 7-part ring with seven optional stable outer groups,
+  each attached to one ring part and the two parts opposite it, under
+  rules "1" through "10" checked by ``verify_heptagram_type``.
 
-Rule identifiers are opaque labels; each verifier's docstring states what
-the numbered rules check.  Everything here is pure and deterministic:
-verifiers scan exhaustively, and generators build instances part by part.
-Both recognizers work on the false-twin quotient (one vertex per class of
-equal rows) and lift its witness back: the 11-ring one reads its witness
-off the classes, and the full-class one runs one budgeted, forward-checked
-backtracking search whose first levels pick the antihole that opens the
-ring parts.
+The verifiers, the slot search's prune, the generators and the 4-colorings
+all read these tables.  Rule identifiers are opaque labels; each
+verifier's docstring states what the numbered rules check.
+Everything here is pure and deterministic: verifiers scan exhaustively,
+and generators build instances part by part.  Both recognizers work on the
+false-twin quotient (one vertex per class of equal rows) and lift its
+witness back: the 11-ring one reads its witness off the classes, and the
+full-class one runs one budgeted, forward-checked backtracking search
+whose first levels pick the antihole that opens the ring parts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import combinations
+from typing import Callable, Iterable
 
+from .coloring import Coloring
 from .detect import Budget, find_induced_embedding, has_c7_complement
 from .graph import Graph, induced_subgraph, iter_bits, mask_of
 
@@ -114,10 +118,59 @@ class HeptagramTypeWitness(_RingWitness):
 
     _COUNTS = (7, 7)
     # The full-class rules are not rotation symmetric: only the identity and
-    # the reflection j -> 2 - j preserve the designated linked pairs and the
-    # special (0, 1, 2) triple.
+    # the reflection j -> 2 - j keep every slot pair's demand in ``_slot_rule``
+    # (the linked pairs and the special (0, 1, 2) triple).
     _MAPS = (tuple(range(7)), tuple((2 - j) % 7 for j in range(7)))
     _KIND = "heptagram_type"
+
+
+# ---------------------------------------------------------------------------
+# pair tables
+# ---------------------------------------------------------------------------
+
+# A pair table maps a part pair (s, t) to its demand ("complete",
+# "anticomplete", "linked": every vertex of either part has a neighbor in the
+# other, or "seen": every vertex of the later part has a neighbor in the
+# earlier) and to the rule a failure reports.  A part with itself is
+# anticomplete: every part is stable.
+_Rule = Callable[[int, int], tuple[str, str]]
+
+
+def _t11_rule(s: int, t: int) -> tuple[str, str]:
+    """The 11 ring parts: anticomplete at distance 1 and 2, complete at 3, 4, 5."""
+    d = min((t - s) % 11, (s - t) % 11)
+    if d == 0:
+        return "anticomplete", "stable"
+    return ("anticomplete", "anticomplete") if d <= 2 else ("complete", "complete")
+
+
+def _slot_rule(s: int, t: int) -> tuple[str, str]:
+    """The 14 heptagram-type slots: 0-6 ring parts, 7-13 outer groups 0-6.
+
+    Ring parts at distance 3 are anticomplete (rule "1"), at distance 2
+    complete (rule "2") and at distance 1 complete (rule "3"), except that
+    the pairs inside the (0, 1, 2) triple and the pair (4, 5) are only
+    linked.  Outer group i is seen from ring parts i, i+3 and i+4 and is
+    anticomplete to the rest of the ring (rule "6").  Consecutive outer
+    groups are complete, the others anticomplete (rule "8").
+    """
+    s, t = min(s, t), max(s, t)
+    d = min((t - s) % 7, (s - t) % 7)
+    if s == t:
+        return "anticomplete", "stable"
+    if t < 7:  # two ring parts
+        if d == 3:
+            return "anticomplete", "1"
+        linked = t <= 2 or (s, t) == (4, 5)
+        return ("linked" if linked else "complete"), "2" if d == 2 else "3"
+    if s >= 7:  # two outer groups
+        return ("complete" if d == 1 else "anticomplete"), "8"
+    return ("seen" if (s - t) % 7 in (0, 3, 4) else "anticomplete"), "6"
+
+
+# the linked ring pairs, in sorted order: the only ring pairs a vertex pair may
+# meet either way
+_LINKED = tuple(p for p in combinations(range(7), 2) if _slot_rule(*p)[0] == "linked")
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +201,21 @@ def _missing_edge(g: Graph, a: int, b: int) -> tuple[int, int] | None:
     return None
 
 
-def _unlinked_vertex(g: Graph, a: int, b: int) -> int | None:
+def _lonely(g: Graph, a: int, b: int) -> tuple[int] | None:
+    """(u,) for the first u in mask a with no neighbor in mask b; None if none."""
     for u in iter_bits(a):
         if not g.rows[u] & b:
-            return u
-    for v in iter_bits(b):
-        if not g.rows[v] & a:
-            return v
+            return (u,)
     return None
+
+
+# per demand: the first offending vertices between masks a and b, or None
+_CHECKS = {
+    "complete": _missing_edge,
+    "anticomplete": _edge_between,
+    "linked": lambda g, a, b: _lonely(g, a, b) or _lonely(g, b, a),
+    "seen": lambda g, a, b: _lonely(g, b, a),
+}
 
 
 def _check_sets(g: Graph, parts: Iterable[frozenset[int]]) -> None:
@@ -187,27 +247,45 @@ def _preamble_failure(g: Graph, masks: list[int], ring_parts: int) -> StructureV
     return None
 
 
+def _pair_checks(rule: _Rule, k: int) -> tuple[tuple[int, int, Callable, str], ...]:
+    """(s, t, check, rule name) for the part pairs s < t of a k-part table,
+    in lexicographic order."""
+    return tuple(
+        (s, t, _CHECKS[rule(s, t)[0]], rule(s, t)[1]) for s, t in combinations(range(k), 2)
+    )
+
+
+_T11_CHECKS = _pair_checks(_t11_rule, 11)
+_SLOT_CHECKS = _pair_checks(_slot_rule, 14)
+
+
+def _pair_failure(g: Graph, masks: list[int], checks) -> StructureVerdict | None:
+    """The first part pair of ``checks`` whose demand fails, or None.  A
+    pair with an empty part meets every demand but "linked", which only
+    ring parts have, and those are nonempty once the preamble passed."""
+    for s, t, check, rule in checks:
+        a, b = masks[s], masks[t]
+        if a and b:
+            bad = check(g, a, b)
+            if bad:
+                return StructureVerdict(False, rule, bad)
+    return None
+
+
 def verify_t11_type(g: Graph, w: T11Witness) -> StructureVerdict:
-    """Check the 11-ring conditions.
+    """Check the 11-ring conditions: the preamble rules, then the pair table
+    ``_t11_rule`` over the part pairs (s, t), s < t, in lexicographic order.
 
     Rules: "partition" (parts disjoint and covering), "nonempty", "stable",
     "anticomplete" (ring distance 1 and 2), "complete" (distance 3, 4, 5).
     """
     _check_sets(g, w.parts)
     masks = [mask_of(p) for p in w.parts]
-    bad = _preamble_failure(g, masks, 11)
-    if bad:
-        return bad
-    for i in range(11):
-        for d in (1, 2):
-            hit = _edge_between(g, masks[i], masks[(i + d) % 11])
-            if hit:
-                return StructureVerdict(False, "anticomplete", hit)
-        for d in (3, 4, 5):
-            miss = _missing_edge(g, masks[i], masks[(i + d) % 11])
-            if miss:
-                return StructureVerdict(False, "complete", miss)
-    return StructureVerdict(True)
+    return (
+        _preamble_failure(g, masks, 11)
+        or _pair_failure(g, masks, _T11_CHECKS)
+        or StructureVerdict(True)
+    )
 
 
 def _anchor_violation(g: Graph, v: int, far_hi: int, far_lo: int) -> tuple[int, int] | None:
@@ -223,56 +301,34 @@ def _anchor_violation(g: Graph, v: int, far_hi: int, far_lo: int) -> tuple[int, 
     )
 
 
-# ring-pair regimes for the full class, 0-indexed: (i, j) -> required relation
-_COMPLETE_PAIRS = (
-    (1, 3), (2, 4), (3, 5), (4, 6), (5, 0), (6, 1),  # distance-2 pairs, rule "2"
-    (2, 3), (3, 4), (5, 6), (6, 0),  # distance-1 pairs, rule "3"
-)
-_LINKED_PAIRS_2 = ((0, 2),)
-_LINKED_PAIRS_3 = ((0, 1), (1, 2), (4, 5))
-
-
 def verify_heptagram_type(g: Graph, w: HeptagramTypeWitness) -> StructureVerdict:
     """Check the full-class conditions, rules "1" through "10".
 
     Preamble rules: "partition" (the 14 sets partition the vertex set),
-    "nonempty" (ring parts), "stable" (all 14 sets).  Numbered rules:
-    "1" ring distance 3 anticomplete; "2" distance 2 pairs complete except
-    (0,2) which is only linked; "3" distance 1 pairs (2,3),(3,4),(5,6),(6,0)
-    complete and (0,1),(1,2),(4,5) linked; "4"/"5" the coherence conditions
-    on the (0,1,2) triple; "6" outer group i sees ring parts i and i+-3 and
-    nothing else on the ring; "7" per-vertex neighborhood coherence for
-    outer vertices; "8" consecutive outer groups complete, distance 2 and 3
-    anticomplete; "9" an outer group not complete to its two far parts
-    forces those far parts complete to their distance-2 neighbors and the
-    four surrounding outer groups empty; "10" among any three consecutive
-    outer groups one is empty.
+    "nonempty" (ring parts), "stable" (all 14 sets).  Numbered rules: "1",
+    "2", "3", "6" and "8" are the pair demands of the table ``_slot_rule``
+    (ring distance 3 anticomplete, distance 2 and 1 complete or linked,
+    outer group i seen from ring parts i, i+3, i+4 only, consecutive outer
+    groups complete and the others anticomplete); "4"/"5" the coherence
+    conditions on the (0,1,2) triple; "7" per-vertex neighborhood coherence
+    for outer vertices; "9" an outer group not complete to its two far
+    parts forces those far parts complete to their distance-2 neighbors and
+    the four surrounding outer groups empty; "10" among any three
+    consecutive outer groups one is empty.
+
+    The first failure is reported, in this order: the preamble rules; the
+    pair rules over the slot pairs (s, t), s < t, in lexicographic order
+    (slots 0-6 are the ring parts, 7-13 the outer groups); then "4"/"5",
+    "7", "9" and "10".
     """
     _check_sets(g, w.ring + w.outer)
     ring = [mask_of(p) for p in w.ring]
     outer = [mask_of(p) for p in w.outer]
-    bad = _preamble_failure(g, ring + outer, 7)
+    bad = _preamble_failure(g, ring + outer, 7) or _pair_failure(g, ring + outer, _SLOT_CHECKS)
     if bad:
         return bad
 
     rows = g.rows
-    for i in range(7):
-        hit = _edge_between(g, ring[i], ring[(i + 3) % 7])
-        if hit:
-            return StructureVerdict(False, "1", hit)
-    for idx, (i, j) in enumerate(_COMPLETE_PAIRS):
-        miss = _missing_edge(g, ring[i], ring[j])
-        if miss:
-            return StructureVerdict(False, "2" if idx < 6 else "3", miss)
-    for i, j in _LINKED_PAIRS_2:
-        v = _unlinked_vertex(g, ring[i], ring[j])
-        if v is not None:
-            return StructureVerdict(False, "2", (v,))
-    for i, j in _LINKED_PAIRS_3:
-        v = _unlinked_vertex(g, ring[i], ring[j])
-        if v is not None:
-            return StructureVerdict(False, "3", (v,))
-
     for v in iter_bits(ring[1]):
         back, fwd = rows[v] & ring[0], rows[v] & ring[2]
         for u in iter_bits(back):
@@ -286,15 +342,6 @@ def verify_heptagram_type(g: Graph, w: HeptagramTypeWitness) -> StructureVerdict
                 return StructureVerdict(False, "5", (u, v, _first_bit(hit)))
 
     for i in range(7):
-        near = ring[(i + 1) % 7] | ring[(i + 2) % 7] | ring[(i + 5) % 7] | ring[(i + 6) % 7]
-        for y in iter_bits(outer[i]):
-            for j in (i, (i + 3) % 7, (i + 4) % 7):
-                if not rows[y] & ring[j]:
-                    return StructureVerdict(False, "6", (y, j))
-            hit = rows[y] & near
-            if hit:
-                return StructureVerdict(False, "6", (y, _first_bit(hit)))
-    for i in range(7):
         far_hi, far_lo = ring[(i + 3) % 7], ring[(i + 4) % 7]
         near = ring[(i + 1) % 7] | ring[(i + 2) % 7] | ring[(i + 5) % 7] | ring[(i + 6) % 7]
         for y in iter_bits(outer[i]):
@@ -303,14 +350,6 @@ def verify_heptagram_type(g: Graph, w: HeptagramTypeWitness) -> StructureVerdict
             )
             if bad:
                 return StructureVerdict(False, "7", (y,) + bad)
-    for i in range(7):
-        miss = _missing_edge(g, outer[i], outer[(i + 1) % 7])
-        if miss:
-            return StructureVerdict(False, "8", miss)
-        for d in (2, 3):
-            hit = _edge_between(g, outer[i], outer[(i + d) % 7])
-            if hit:
-                return StructureVerdict(False, "8", hit)
     for i in range(7):
         far = ring[(i + 3) % 7] | ring[(i + 4) % 7]
         if _missing_edge(g, outer[i], far) is None:
@@ -362,35 +401,19 @@ def recognize_t11_type(g: Graph) -> T11Witness | None:
     classes, quotient = _twin_quotient(g)
     if len(classes) != 11:
         return None
-    emb = find_induced_embedding(quotient, Graph.circulant(11, (3, 4, 5)))
+    emb = find_induced_embedding(quotient, generate_t11_type([1] * 11)[0])
     if emb is None:
         return None
     w = T11Witness(tuple(frozenset(iter_bits(classes[j])) for j in emb))
     return w.canonical() if verify_t11_type(g, w).ok else None
 
 
-def _slot_relation(s: int, t: int) -> bool | None:
-    """What ``verify_heptagram_type`` demands of every vertex pair between
-    slots s and t (0-6 ring parts, 7-13 outer groups 0-6): True adjacent,
-    False non-adjacent, None either."""
-    if s > t:
-        s, t = t, s
-    d = min((t - s) % 7, (s - t) % 7)
-    if t < 7:  # two ring parts
-        if d in (0, 3):
-            return False
-        return True if (s, t) in _COMPLETE_PAIRS or (t, s) in _COMPLETE_PAIRS else None
-    if s >= 7:  # two outer groups
-        return d == 1
-    return None if (s - t) % 7 in (0, 3, 4) else False  # ring part s, group t - 7
-
-
 # per slot s: the slots open to a neighbor, and to a non-neighbor, of a vertex in s
 _NEIGHBOR_SLOTS = tuple(
-    mask_of(t for t in range(14) if _slot_relation(s, t) is not False) for s in range(14)
+    mask_of(t for t in range(14) if _slot_rule(s, t)[0] != "anticomplete") for s in range(14)
 )
 _STRANGER_SLOTS = tuple(
-    mask_of(t for t in range(14) if _slot_relation(s, t) is not True) for s in range(14)
+    mask_of(t for t in range(14) if _slot_rule(s, t)[0] != "complete") for s in range(14)
 )
 
 
@@ -414,15 +437,13 @@ def _slot_search(g: Graph, budget: Budget) -> HeptagramTypeWitness | None:
     backtracking search meets, or None; exact.
 
     Every vertex gets one of the 14 slots (ring parts and outer groups).
-    Each slot pair has a required relation (``_slot_relation``: stable
-    slots, the complete and anticomplete ring pairs, outer groups seeing no
-    ring part at +-1 or +-2, consecutive outer groups complete, the rest
-    anticomplete), so a placed vertex narrows the slot domain of every other
-    vertex.  While a ring part is empty, the search branches on which vertex
-    opens the first empty part i: one that still has slot i and sees the
-    openers of i's linked partners (the pairs in ``_LINKED_PAIRS_2`` and
-    ``_LINKED_PAIRS_3``, the only ring pairs whose relation is open), so the
-    seven openers induce the 7-vertex antihole.  Then it branches on a
+    A complete or anticomplete slot pair of the table ``_slot_rule`` fixes
+    whether a vertex pair between the two slots is adjacent, so a placed
+    vertex narrows the slot domain of every other vertex.  While a ring part
+    is empty, the search branches on which vertex opens the first empty
+    part i: one that still has slot i and sees the openers of i's linked
+    partners (``_LINKED``, the only ring pairs that fix no adjacency), so
+    the seven openers induce the 7-vertex antihole.  Then it branches on a
     vertex with the fewest slots left.  It prunes on an empty domain and
     runs the full verifier at each leaf.  A failed opener of part 0 loses
     slot 0: any vertex of part 0 can open it (below).
@@ -448,7 +469,7 @@ def _slot_search(g: Graph, budget: Budget) -> HeptagramTypeWitness | None:
             choices = [(v, s) for s in iter_bits(domains[v])]
         else:
             seen = 0  # the openers of i's linked partners; slots[i] is empty
-            for pair in _LINKED_PAIRS_2 + _LINKED_PAIRS_3:
+            for pair in _LINKED:
                 if i in pair:
                     seen |= slots[pair[0]] | slots[pair[1]]
             choices = [
@@ -540,13 +561,23 @@ def recognize_heptagram_type(
 # ---------------------------------------------------------------------------
 
 
-def _layout(sizes: Iterable[int]) -> list[list[int]]:
-    parts = []
-    nxt = 0
-    for s in sizes:
-        parts.append(list(range(nxt, nxt + s)))
-        nxt += s
-    return parts
+def _blow_up(
+    sizes: Iterable[int], joined: Callable[[int, int], bool]
+) -> tuple[Graph, list[list[int]]]:
+    """Consecutive parts of the given sizes, complete between parts s < t
+    with ``joined(s, t)`` and anticomplete otherwise: the graph and its parts."""
+    parts, n = [], 0
+    for size in sizes:
+        parts.append(list(range(n, n + size)))
+        n += size
+    edges = [
+        (u, v)
+        for s, t in combinations(range(len(parts)), 2)
+        if joined(s, t)
+        for u in parts[s]
+        for v in parts[t]
+    ]
+    return Graph.from_edges(n, edges), parts
 
 
 def generate_t11_type(sizes: Iterable[int]) -> tuple[Graph, T11Witness]:
@@ -556,16 +587,7 @@ def generate_t11_type(sizes: Iterable[int]) -> tuple[Graph, T11Witness]:
         raise GenerationError("exactly 11 part sizes required", rule="partition")
     if any(s < 1 for s in sizes):
         raise GenerationError("part sizes must be positive", rule="nonempty")
-    parts = _layout(sizes)
-    edges = []
-    # each unordered part pair at circular distance 3, 4, 5 arises exactly
-    # once here (the reverse arc would need distance 6, 7, 8)
-    for i in range(11):
-        for d in (3, 4, 5):
-            for u in parts[i]:
-                for v in parts[(i + d) % 11]:
-                    edges.append((u, v))
-    g = Graph.from_edges(sum(sizes), edges)
+    g, parts = _blow_up(sizes, lambda s, t: _t11_rule(s, t)[0] == "complete")
     return g, T11Witness(tuple(frozenset(p) for p in parts))
 
 
@@ -608,58 +630,32 @@ def generate_heptagram_type(
         raise GenerationError("ring part sizes must be positive", rule="nonempty")
     _validate_outer_sizes(y_sizes)
 
-    ring = _layout(w_sizes)
-    outer = _layout(y_sizes)
-    base = sum(w_sizes)
-    outer = [[v + base for v in grp] for grp in outer]
-    n = base + sum(y_sizes)
-
-    def witness() -> HeptagramTypeWitness:
-        return HeptagramTypeWitness(
-            tuple(frozenset(p) for p in ring), tuple(frozenset(p) for p in outer)
-        )
-
-    def outer_outer_edges() -> list[tuple[int, int]]:
-        out = []
-        for i in range(7):
-            for u in outer[i]:
-                for v in outer[(i + 1) % 7]:
-                    out.append((min(u, v), max(u, v)))
-        return out
-
-    if profile == "all_complete":
-        edges = []
-        # each distance-1 or distance-2 pair on the 7-ring arises once here
-        for i in range(7):
-            for d in (1, 2):
-                for u in ring[i]:
-                    for v in ring[(i + d) % 7]:
-                        edges.append((u, v))
-        for i in range(7):
-            for y in outer[i]:
-                for j in (i, (i + 3) % 7, (i + 4) % 7):
-                    for v in ring[j]:
-                        edges.append((v, y))
-        edges.extend(outer_outer_edges())
-        g = Graph.from_edges(n, edges)
-        if stats_out is not None:
-            stats_out["attempts"] = 1
-        return g, witness()
-
-    if profile != "custom":
+    if profile not in ("all_complete", "custom"):
         raise ValueError(f"unknown profile {profile!r}")
 
+    # "all_complete" makes every slot pair complete unless it is anticomplete;
+    # "custom" starts from the complete pairs and draws the linked and seen ones
+    joined = ("complete",) if profile == "custom" else ("complete", "linked", "seen")
+    base, parts = _blow_up(w_sizes + y_sizes, lambda s, t: _slot_rule(s, t)[0] in joined)
+    w = HeptagramTypeWitness(
+        tuple(frozenset(p) for p in parts[:7]), tuple(frozenset(p) for p in parts[7:])
+    )
+    if profile == "all_complete":
+        if stats_out is not None:
+            stats_out["attempts"] = 1
+        return base, w
+
     rng = rng if rng is not None else random.Random(0)
-    linked_only = set(_LINKED_PAIRS_2) | set(_LINKED_PAIRS_3)
-    complete_pairs = set(_COMPLETE_PAIRS)
+    ring, outer = parts[:7], parts[7:]
+    # per outer group i: the ring parts that see it, walked from i: i, i+3, i+4
+    seen_from = [
+        [(i + d) % 7 for d in range(7) if _slot_rule((i + d) % 7, 7 + i)[0] == "seen"]
+        for i in range(7)
+    ]
     last_rule = None
     for attempt in range(1, _CUSTOM_ATTEMPTS + 1):
-        edges = []
-        for i, j in complete_pairs:
-            for u in ring[i]:
-                for v in ring[j]:
-                    edges.append((min(u, v), max(u, v)))
-        for i, j in linked_only:
+        edges = base.edges()
+        for i, j in _LINKED:
             chosen = set()
             for u in ring[i]:
                 for v in ring[j]:
@@ -676,21 +672,19 @@ def generate_heptagram_type(
             edges.extend(chosen)
         for i in range(7):
             for y in outer[i]:
-                for j in (i, (i + 3) % 7, (i + 4) % 7):
+                for j in seen_from[i]:
                     pool = ring[j]
                     pick = [v for v in pool if rng.random() < 0.8]
                     if not pick:
                         pick = [rng.choice(pool)]
                     for v in pick:
                         edges.append((v, y))
-        edges.extend(outer_outer_edges())
-        g = Graph.from_edges(n, edges)
-        cand = witness()
-        verdict = verify_heptagram_type(g, cand)
+        g = Graph.from_edges(base.n, edges)
+        verdict = verify_heptagram_type(g, w)
         if verdict.ok:
             if stats_out is not None:
                 stats_out["attempts"] = attempt
-            return g, cand
+            return g, w
         last_rule = verdict.rule
     if stats_out is not None:
         stats_out["attempts"] = _CUSTOM_ATTEMPTS
@@ -698,4 +692,52 @@ def generate_heptagram_type(
         f"no verifying instance after {_CUSTOM_ATTEMPTS} draws "
         f"(last violated rule: {last_rule})",
         rule=last_rule,
+    )
+
+
+# ---------------------------------------------------------------------------
+# 4-colorings
+# ---------------------------------------------------------------------------
+
+
+def _part_colors(rule: _Rule, k: int) -> tuple[int, ...]:
+    """A color per part of a k-part table, greedily in part order: each part
+    takes the least color of no earlier part that it is not anticomplete to."""
+    colors: list[int] = []
+    for t in range(k):
+        taken = {colors[s] for s in range(t) if rule(s, t)[0] != "anticomplete"}
+        colors.append(min(set(range(t + 1)) - taken))
+    return tuple(colors)
+
+
+_T11_COLORS = _part_colors(_t11_rule, 11)
+_HEPTA_COLORS = _part_colors(_slot_rule, 14)
+
+
+def _color_by_part(verdict: StructureVerdict, parts, table: tuple[int, ...]) -> Coloring:
+    if not verdict.ok:
+        raise ValueError(f"witness failed verification: rule {verdict.rule}")
+    return Coloring({v: c for part, c in zip(parts, table) for v in part}, 4)
+
+
+def four_color_t11(g: Graph, witness: T11Witness) -> Coloring:
+    """Proper 4-coloring of a verified eleven-class ring witness.
+
+    Consecutive ring classes are pairwise non-adjacent out to distance two,
+    so the runs {0,1,2}, {3,4,5}, {6,7,8}, {9,10} are color classes
+    (``_T11_COLORS``).
+    """
+    return _color_by_part(verify_t11_type(g, witness), witness.parts, _T11_COLORS)
+
+
+def four_color_heptagram_type(g: Graph, witness: HeptagramTypeWitness) -> Coloring:
+    """Proper 4-coloring of a verified heptagram-type witness.
+
+    Ring parts three apart are anticomplete, which fixes the four ring
+    color classes.  An outer group sees only ring parts i, i+3, i+4 and the
+    outer groups beside it, so it finds a free class among the four
+    (``_HEPTA_COLORS``).
+    """
+    return _color_by_part(
+        verify_heptagram_type(g, witness), witness.ring + witness.outer, _HEPTA_COLORS
     )

@@ -18,9 +18,9 @@ from heptalab.structures import (
     _dihedral_maps,
     _edge_between,
     _first_bit,
+    _lonely,
     _missing_edge,
     _RingWitness,
-    _unlinked_vertex,
 )
 
 
@@ -63,9 +63,10 @@ def verify_heptagram(g: Graph, w: HeptagramWitness) -> StructureVerdict:
             return StructureVerdict(False, "2", hit)
     for i in range(7):
         for d in (1, 2):
-            v = _unlinked_vertex(g, masks[i], masks[(i + d) % 7])
-            if v is not None:
-                return StructureVerdict(False, "3", (v,))
+            a, b = masks[i], masks[(i + d) % 7]
+            lonely = _lonely(g, a, b) or _lonely(g, b, a)
+            if lonely:
+                return StructureVerdict(False, "3", lonely)
     for i in range(7):
         prev, cur, nxt = masks[(i + 6) % 7], masks[i], masks[(i + 1) % 7]
         for v in iter_bits(cur):

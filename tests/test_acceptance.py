@@ -21,12 +21,7 @@ import time
 import pytest
 
 from heptalab.cli import class_record, verdict_from_records
-from heptalab.coloring import (
-    chromatic_number_exact,
-    four_color_heptagram_type,
-    four_color_t11,
-    is_proper,
-)
+from heptalab.coloring import chromatic_number_exact, is_proper
 from heptalab.corpus import all_graphs_up_to, random_graphs
 from heptalab.detect import (
     c7_complement,
@@ -37,6 +32,8 @@ from heptalab.detect import (
 from heptalab.graph import Graph, induced_subgraph, to_graph6
 from heptalab.harmonious import merge_colorings, side_vertex_sets, verify_harmonious
 from heptalab.structures import (
+    four_color_heptagram_type,
+    four_color_t11,
     generate_heptagram_type,
     generate_t11_type,
     recognize_heptagram_type,

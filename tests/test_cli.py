@@ -541,6 +541,12 @@ class TestGenerate:
         )
         assert code == 3 and "comma-separated" in err
 
+    def test_negative_count_rejected(self, capsys):
+        code, out, err = run_cli(capsys, ["generate", "--kind", "t11", "--count", "-2"])
+        assert code == 3 and out == "" and "--count must be at least 0" in err
+        code, out, err = run_cli(capsys, ["generate", "--kind", "t11", "--count", "0"])
+        assert (code, out, err) == (0, "", "")
+
     def test_zero_size_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,

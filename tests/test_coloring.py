@@ -3,20 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from heptalab.coloring import (
-    _OUTER_CLASS,
-    _RING_CLASS,
-    Coloring,
-    chromatic_number_exact,
-    four_color_heptagram_type,
-    four_color_t11,
-    greedy_coloring,
-    is_proper,
-)
+from heptalab.coloring import Coloring, chromatic_number_exact, greedy_coloring, is_proper
 from heptalab.detect import Budget, SearchBudgetExceeded, c7_complement, clique_number
 from heptalab.graph import Graph, from_graph6, is_clique
 from heptalab.structures import (
+    _HEPTA_COLORS,
+    _T11_COLORS,
     HeptagramTypeWitness,
+    four_color_heptagram_type,
+    four_color_t11,
     generate_heptagram_type,
     generate_t11_type,
 )
@@ -95,6 +90,10 @@ class TestExactChromatic:
 
 
 class TestFourColorT11:
+    def test_class_table(self):
+        # the runs {0,1,2}, {3,4,5}, {6,7,8}, {9,10} of the 11-ring
+        assert _T11_COLORS == (0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3)
+
     def test_canonical_circulant(self):
         g, w = generate_t11_type([1] * 11)
         c = four_color_t11(g, w)
@@ -122,12 +121,16 @@ class TestFourColorT11:
 
 class TestFourColorHeptagramType:
     def test_class_tables(self):
+        # the ring parts' classes, then the outer groups'; pairs of ring
+        # parts three apart share a class
+        ring, outer = _HEPTA_COLORS[:7], _HEPTA_COLORS[7:]
+        assert ring == (0, 1, 2, 0, 1, 2, 3)
+        assert outer == (2, 0, 1, 2, 3, 0, 1)
         # each outer group's class avoids every class it can see: ring parts
         # i, i+3, i+4 and the next outer group (the previous one by symmetry)
         for i in range(7):
-            seen = {_RING_CLASS[i], _RING_CLASS[(i + 3) % 7], _RING_CLASS[(i + 4) % 7]}
-            assert _OUTER_CLASS[i] not in seen
-            assert _OUTER_CLASS[i] != _OUTER_CLASS[(i + 1) % 7]
+            assert outer[i] not in {ring[i], ring[(i + 3) % 7], ring[(i + 4) % 7]}
+            assert outer[i] != outer[(i + 1) % 7]
 
     def test_all_outer_empty(self):
         g, w = generate_heptagram_type([2, 1, 1, 2, 1, 1, 1])

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -637,7 +639,91 @@ class TestTwinLemma:
         assert removed >= 10
 
 
+class TestPairTables:
+    def test_t11_demands(self):
+        # parts complete exactly where the (3,4,5)-circulant core has an edge
+        core = Graph.circulant(11, (3, 4, 5))
+        for s in range(11):
+            for t in range(11):
+                if core.adjacent(s, t):
+                    want = ("complete", "complete")
+                else:
+                    want = ("anticomplete", "stable" if s == t else "anticomplete")
+                assert structures._t11_rule(s, t) == want, (s, t)
+
+    def test_slot_demands(self):
+        # rules "1"-"3", "6" and "8" as literal pair lists and attachments,
+        # independent of the table's ring arithmetic
+        complete_2 = {(1, 3), (2, 4), (3, 5), (4, 6), (5, 0), (6, 1)}
+        complete_3 = {(2, 3), (3, 4), (5, 6), (6, 0)}
+        linked_2 = {(0, 2)}
+        linked_3 = {(0, 1), (1, 2), (4, 5)}
+        for s in range(7):
+            for t in range(7):
+                pair = {(s, t), (t, s)}
+                if s == t:
+                    want = ("anticomplete", "stable")
+                elif pair & complete_2:
+                    want = ("complete", "2")
+                elif pair & complete_3:
+                    want = ("complete", "3")
+                elif pair & linked_2:
+                    want = ("linked", "2")
+                elif pair & linked_3:
+                    want = ("linked", "3")
+                else:
+                    want = ("anticomplete", "1")
+                assert structures._slot_rule(s, t) == want, (s, t)
+        assert structures._LINKED == ((0, 1), (0, 2), (1, 2), (4, 5))
+        for i in range(7):
+            attached = {i, (i + 3) % 7, (i + 4) % 7}
+            for j in range(7):
+                want = ("seen" if j in attached else "anticomplete", "6")
+                assert structures._slot_rule(j, 7 + i) == want, (j, i)
+                assert structures._slot_rule(7 + i, j) == want, (i, j)
+            for k in range(7):
+                want = (
+                    ("anticomplete", "stable") if k == i
+                    else ("complete" if k in ((i + 1) % 7, (i - 1) % 7) else "anticomplete", "8")
+                )
+                assert structures._slot_rule(7 + i, 7 + k) == want, (i, k)
+
+    def test_witness_maps_are_the_table_symmetries(self):
+        # canonical() may only use the ring maps that keep every part pair's
+        # demand; for the 14 slots, a map moves ring parts and outer groups alike
+        def symmetries(rule, m, slots):
+            def keeps(sigma):
+                def image(s):
+                    return sigma[s % m] + s - s % m
+
+                return all(
+                    rule(s, t)[0] == rule(image(s), image(t))[0]
+                    for s in range(slots)
+                    for t in range(slots)
+                )
+
+            return tuple(sigma for sigma in structures._dihedral_maps(m) if keeps(sigma))
+
+        assert symmetries(structures._t11_rule, 11, 11) == T11Witness._MAPS
+        assert len(T11Witness._MAPS) == 22
+        assert symmetries(structures._slot_rule, 7, 14) == HeptagramTypeWitness._MAPS
+        assert HeptagramTypeWitness._MAPS == ((0, 1, 2, 3, 4, 5, 6), (2, 1, 0, 6, 5, 4, 3))
+
+
 class TestGenerators:
+    def test_bench_structured_instances_reproduced(self, monkeypatch):
+        # bench/structured.tsv was drawn once by bench/make_pool.py from the
+        # seeded generators of both kinds and profiles; drawing it again must
+        # give the same graphs and witness sizes, row for row
+        bench = Path(__file__).parent.parent / "bench"
+        monkeypatch.setattr(sys, "path", list(sys.path))  # make_pool adds bench/
+        spec = importlib.util.spec_from_file_location("make_pool", bench / "make_pool.py")
+        make_pool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_pool)
+        rows = (bench / "structured.tsv").read_text().splitlines()
+        assert rows[0].startswith("#")
+        assert make_pool.structured_instances() == [tuple(r.split("\t")) for r in rows[1:]]
+
     def test_t11_sizes_validated(self):
         with pytest.raises(GenerationError):
             generate_t11_type([0] + [1] * 10)
