@@ -36,6 +36,7 @@ from .graph import Graph, Graph6Error, from_graph6, to_graph6
 from .harmonious import find_harmonious_cutset
 from .structures import (
     GenerationError,
+    _crowded_window,
     generate_heptagram_type,
     generate_t11_type,
     recognize_heptagram_type,
@@ -450,9 +451,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _random_outer_sizes(rng) -> list[int]:
     sizes = [rng.randint(0, 2) for _ in range(7)]
-    for i in range(7):
-        if sizes[i] and sizes[(i + 1) % 7] and sizes[(i + 2) % 7]:
-            sizes[(i + 2) % 7] = 0
+    while (crowded := _crowded_window(sizes)) is not None:
+        sizes[(crowded + 2) % 7] = 0
     return sizes
 
 

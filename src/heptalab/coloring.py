@@ -4,9 +4,10 @@
 between a clique lower bound and a greedy upper bound; a value of chi is only
 reported once the (chi - 1)-search has been exhausted, and the result keeps
 the maximum clique it started from, so callers read omega off it.  Both the
-greedy and the search track each vertex's neighbor colors as a bitmask.  The
-search runs at any order under a ``detect.Budget``, each node costing one
-step per vertex.  The ring families' 4-colorings need no search; they live
+greedy and the search track each vertex's neighbor colors as a bitmask; the
+search keeps the masks current with per-color counts as it places and undoes
+colors.  It runs at any order under a ``detect.Budget``, each node costing
+one step per vertex.  The ring families' 4-colorings need no search; they live
 in ``structures``, next to the pair tables they read.
 """
 
@@ -96,26 +97,36 @@ def _try_k_coloring(
     """
     n = g.n
     rows = g.rows
+    degree = [r.bit_count() for r in rows]
     colors = [-1] * n
     nodes = 0
+    # per vertex, its neighbors of each color (count[u * k + c]) and the
+    # mask of the colors they use, kept as colors are placed and undone
+    count = [0] * (n * k)
+    seen = [0] * n
+
+    def paint(v: int, c: int, step: int) -> None:
+        colors[v] = c if step > 0 else -1
+        for w in iter_bits(rows[v]):
+            count[w * k + c] += step
+            if count[w * k + c]:
+                seen[w] |= 1 << c
+            else:
+                seen[w] &= ~(1 << c)
+
     for idx, v in enumerate(seed_clique):
-        colors[v] = idx
+        paint(v, idx, 1)
     used_max = len(seed_clique) - 1
 
     def branch(used_max: int) -> tuple[int, Iterator[int], int]:
         # the vertex to color next (DSATUR) and the colors it may still take
-        best_v, best_key, banned = -1, None, 0
+        best_v, best_key = -1, -1
         for u in range(n):
-            if colors[u] != -1:
-                continue
-            seen = 0
-            for w in iter_bits(rows[u]):
-                if colors[w] != -1:
-                    seen |= 1 << colors[w]
-            key = (seen.bit_count(), rows[u].bit_count())
-            if best_key is None or key > best_key:  # ties keep the lowest index
-                best_v, best_key, banned = u, key, seen
-        cap = min(k - 1, used_max + 1)
+            if colors[u] == -1:
+                key = seen[u].bit_count() * n + degree[u]
+                if key > best_key:  # ties keep the lowest index
+                    best_v, best_key = u, key
+        banned, cap = seen[best_v], min(k - 1, used_max + 1)
         return best_v, (c for c in range(cap + 1) if not banned >> c & 1), used_max
 
     # depth-first over an explicit stack, so no order is too deep to search
@@ -126,13 +137,14 @@ def _try_k_coloring(
             return None, nodes
         v, options, used_max = stack[-1]
         c = next(options, None)
+        if colors[v] != -1:
+            paint(v, colors[v], -1)
         if c is None:
-            colors[v] = -1
             stack.pop()
             continue
         nodes += 1
         budget.spend(n)
-        colors[v] = c
+        paint(v, c, 1)
         if len(stack) == remaining:
             break
         stack.append(branch(max(used_max, c)))

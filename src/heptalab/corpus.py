@@ -152,7 +152,7 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
             rows = [r | (mask >> u & 1) << new for u, r in enumerate(parent.rows)]
             rows.append(mask)
             if _labeling_below(rows, parent_columns + [col], first=True) is None:
-                out.append(Graph(n, rows))
+                out.append(Graph._trusted(n, rows))
     return tuple(sorted(out, key=to_graph6))
 
 

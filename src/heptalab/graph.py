@@ -45,7 +45,8 @@ class Graph:
     """An immutable simple undirected graph.
 
     ``rows[u]`` is the neighbor bitmask of vertex ``u``.  Construction
-    validates symmetry and rejects loops; instances never mutate, so they
+    validates symmetry and rejects loops, except through ``_trusted`` for
+    rows that are valid by construction; instances never mutate, so they
     are safe to share across threads or worker processes.
     """
 
@@ -72,6 +73,15 @@ class Graph:
                 m ^= low
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _trusted(cls, n: int, rows: Sequence[int]) -> "Graph":
+        """A graph from ``n`` rows known to be in range, loop-free and
+        symmetric, built without the constructor's checks."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", tuple(rows))
+        return g
 
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
         raise AttributeError("Graph is immutable")
@@ -216,7 +226,7 @@ class Graph:
         full = (1 << self.n) - 1
         # a list, not a generator: tuple() over a generator raised the peak
         # RSS of 12,000 complements of 8-10 vertices by about 0.5 MB
-        return Graph(self.n, [(full ^ r) & ~(1 << u) for u, r in enumerate(self.rows)])
+        return Graph._trusted(self.n, [(full ^ r) & ~(1 << u) for u, r in enumerate(self.rows)])
 
     def with_vertex(self, neighbor_mask: int) -> "Graph":
         """Extend by one vertex adjacent to the vertices in ``neighbor_mask``."""
@@ -225,7 +235,7 @@ class Graph:
         new = self.n
         rows = [r | ((neighbor_mask >> u & 1) << new) for u, r in enumerate(self.rows)]
         rows.append(neighbor_mask)
-        return Graph(self.n + 1, rows)
+        return Graph._trusted(self.n + 1, rows)
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Return the graph with new vertex i taking the role of ``perm[i]``."""
@@ -240,7 +250,7 @@ class Graph:
             for v in iter_bits(self.rows[old]):
                 m |= 1 << pos[v]
             rows[new] = m
-        return Graph(self.n, rows)
+        return Graph._trusted(self.n, rows)
 
     # -- dunder ------------------------------------------------------------
 
@@ -272,7 +282,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         for w in iter_bits(g.rows[old] & sel):
             m |= 1 << pos[w]
         rows.append(m)
-    return Graph(len(vs), rows), tuple(vs)
+    return Graph._trusted(len(vs), rows), tuple(vs)
 
 
 def is_stable_set(g: Graph, vertices: Iterable[int]) -> bool:
@@ -404,4 +414,4 @@ def from_graph6(data: bytes | str) -> Graph:
             elif bit:
                 raise Graph6Error("nonzero padding bits", base + used + k)
             pair += 1
-    return Graph(n, rows)
+    return Graph._trusted(n, rows)

@@ -6,17 +6,40 @@ between cutset vertices whose interior avoids the cutset has even length when
 its endpoints share a part and odd length otherwise.  Two proper colorings of
 the two sides can then be aligned part-by-part with color swaps and glued.
 
-The cutset search is exact: it gives one parity pass over those paths to
-every vertex set that disconnects the graph and induces a bipartite or
-complete multipartite graph, the only shapes a harmonious cutset can take.
-A parity union-find settles in that pass which components of a bipartite
-set swap their two colors.  Pool and pass are exponential in the worst
-case, so the search and every check charge a ``detect.Budget`` and report
-"inconclusive" when it runs dry; neither ever guesses.
+The cutset search is exact: it settles every vertex set that disconnects
+the graph and induces a bipartite or complete multipartite graph, the only
+shapes a harmonious cutset can take, by one parity pass over those paths
+or by the lemma below.  A parity union-find settles in that pass which
+components of a bipartite set swap their two colors.  Pool and pass are
+exponential in the worst case, so the search and every check charge a
+``detect.Budget`` and report "inconclusive" when it runs dry; neither
+ever guesses.
+
+Labels suit a shaped set X when the two color classes of each component
+of a bipartite G[X] differ (the parts of a complete multipartite one are
+its labels) and every induced path between vertices of X with its
+interior off X is even exactly between equal labels.  The pass fails
+exactly when no labels suit X.
+
+Lemma (inherited failures).  If no labels suit X, none suit a shaped X'
+containing X.  Proof: let labels suit X'.  The vertices of X' on a path
+Q as above cut it into pieces: induced paths with their interiors off X',
+which the labels suit.  If G[X'] is bipartite, so is G[X]; each component
+of G[X] lies in one of G[X'] with the same two color classes, and Q's
+parity is the sum of its pieces', so the labels suit X.  Otherwise G[X']
+is complete multipartite with three or more parts, labeled by part.  Ends
+of Q in two parts are adjacent, and Q is their edge.  Ends in one part
+are not; an inner vertex of Q in another part would see both, so Q has
+length two or each piece joins one part and is even.  G[X] is complete
+multipartite with the parts of X' met on X, at most two if it is
+bipartite, and labeling X by them suits X.  So the search gives no pass
+to a set one vertex larger than a failed set and counts it as failed
+too; only ``steps`` drop.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
@@ -217,80 +240,94 @@ def minimal_separators(g: Graph, budget: Budget | None = None) -> list[frozenset
     return sorted((frozenset(iter_bits(sep)) for sep in found), key=lambda s: (len(s), sorted(s)))
 
 
-def _shape(rows: tuple[int, ...], cut: int) -> list[tuple[int, ...]] | None:
-    """The ``_parity_pass`` classes that ``cut`` can be split by, or None.
+def _grow(
+    rows: tuple[int, ...], base: int, bip: list | None, parts: tuple | None, v: int
+) -> tuple[list | None, tuple | None]:
+    """Both shapes of G[base + v], each or None, from those of G[base].
 
-    Parts are stable, and pairwise complete when three or more.  So a
-    bipartite G[cut] gives one class per component, its two color classes;
-    a complete multipartite one its parts (the classes of non-adjacency) as
-    one class.  Classes come in order of their least vertex, labeled 0."""
-    classes = []
-    remaining = cut
-    while remaining:
-        colors, layer, side = [0, 0], remaining & -remaining, 0
-        while layer:
-            colors[side] |= layer
-            side ^= 1
-            reach = 0
-            for u in iter_bits(layer):
-                reach |= rows[u]
-            if reach & layer:  # an edge inside a BFS layer closes an odd cycle
+    ``bip`` lists the two color classes of each component of a bipartite
+    G[base]: the component's least vertex in the first mask, components in
+    order of their least vertex, as ``_parity_pass`` takes its classes.
+    ``parts`` are the parts of a complete multipartite G[base] (the classes
+    of non-adjacency) in order of their least vertex.  Both shapes are
+    hereditary, so a None stays None.  v merges the components it sees,
+    opposite its neighbors, unless it sees both sides of one; it joins the
+    one part it misses, or is a part alone if it misses none."""
+    bit, seen = 1 << v, rows[v] & base
+    if bip is not None:
+        kept, same, opposite = [], bit, 0
+        for pair in bip:
+            if not seen & (pair[0] | pair[1]):
+                kept.append(pair)
+                continue
+            near, far = pair if seen & pair[0] else pair[::-1]
+            if seen & far:
+                bip = None
                 break
-            layer = reach & cut & ~(colors[0] | colors[1])
-        if layer:
-            break
-        classes.append((colors[0], colors[1]))
-        remaining &= ~(colors[0] | colors[1])
-    else:
-        return classes
-    # complete multipartite iff non-adjacency is an equivalence: the parts
-    parts = []
-    remaining = cut
-    while remaining:
-        part = cut & ~rows[(remaining & -remaining).bit_length() - 1]
-        for v in iter_bits(part):
-            if cut & ~rows[v] != part:
-                return None
-        parts.append(part)
-        remaining &= ~part
-    return [tuple(parts)]
+            same, opposite = same | far, opposite | near
+        else:
+            least = (same | opposite) & -(same | opposite)
+            kept.append((same, opposite) if same & least else (opposite, same))
+            bip = sorted(kept, key=lambda pair: pair[0] & -pair[0])
+    if parts is not None:
+        away = base & ~rows[v]
+        if away and away not in parts:
+            parts = None
+        else:
+            grown = [p | bit if p == away else p for p in parts] + ([] if away else [bit])
+            parts = tuple(sorted(grown, key=lambda p: p & -p))
+    return bip, parts
 
 
 def _cutset_pool(
     g: Graph, separators: list[frozenset[int]]
 ) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
     """Every set X (as a mask) that disconnects g while G[X] is bipartite or
-    complete multipartite, each once and with its ``_shape``: the shaped
-    minimal separators in the given order, then every set reached from
-    them by adding one vertex at a time while it stays shaped and
-    disconnecting.  Shape is hereditary, and such an X contains a minimal
-    separator S of two vertices it separates; every set between S and X
-    separates them too, so a chain leads to X."""
+    complete multipartite, each once and with the ``_parity_pass`` classes
+    of its shape (bipartite when it can be, else its parts as one class):
+    the shaped minimal separators in the given order, then every set
+    reached from them by adding one vertex at a time while it stays shaped
+    and disconnecting.  Shape is hereditary, and such an X contains a
+    minimal separator S of two vertices it separates; every set between S
+    and X separates them too, so a chain leads to X.
+
+    Each admitted X keeps both its shapes, and g - X is split into its
+    components once, when X is extended.  So an extension X + v is tested
+    without a search: it disconnects unless g - X has two components and
+    one is {v}, and ``_grow`` gives its shapes."""
     rows, full = g.rows, (1 << g.n) - 1
-    masks = [mask_of(sep) for sep in separators]
-    seen = set(masks)
-    admitted = []
-    for cut in masks:
-        if (shape := _shape(rows, cut)) is not None:
-            admitted.append(cut)
-            yield cut, shape
-    for base in admitted:  # grows while it is walked
+    admitted: deque = deque()  # (X, bipartite classes, parts), not yet extended
+    seen = set()
+    for sep in separators:
+        cut = mask_of(sep)
+        seen.add(cut)
+        bip, parts, done = [], (), 0
+        for v in iter_bits(cut):
+            bip, parts = _grow(rows, done, bip, parts, v)
+            done |= 1 << v
+        if bip is not None or parts is not None:
+            admitted.append((cut, bip, parts))
+            yield cut, [parts] if bip is None else bip
+    while admitted:
+        base, bip, parts = admitted.popleft()
+        comps = g.component_masks(full & ~base)
+        alone = comps if len(comps) == 2 else ()  # a lone v leaves one component
         for v in iter_bits(full & ~base):
             cut = base | 1 << v
-            if cut in seen:
+            if cut in seen or 1 << v in alone:
                 continue
             seen.add(cut)
-            rest = full & ~cut
-            if rest and g.component_of(rest & -rest, rest) != rest:
-                if (shape := _shape(rows, cut)) is not None:
-                    admitted.append(cut)
-                    yield cut, shape
+            grown = _grow(rows, base, bip, parts, v)
+            if grown != (None, None):
+                admitted.append((cut,) + grown)
+                yield cut, [grown[1]] if grown[0] is None else grown[0]
 
 
 def find_harmonious_cutset(g: Graph, budget: Budget | None = None) -> CutsetSearchResult:
     """Search every possible cutset for a verifiable harmonious partition.
 
-    The search walks ``_cutset_pool`` with one ``_parity_pass`` per set.  As
+    The search walks ``_cutset_pool`` with one ``_parity_pass`` per set,
+    except for the sets that inherit a failure by the lemma above.  As
     the least vertex of each class keeps label 0, a bipartite set gets the
     first of its two-colorings in flip order, so a hit is deterministic; it
     is checked again by ``verify_harmonious``, and "none" is a certificate.
@@ -301,12 +338,17 @@ def find_harmonious_cutset(g: Graph, budget: Budget | None = None) -> CutsetSear
     if not g.is_connected():
         raise ValueError("input graph must be connected")
     budget = Budget() if budget is None else budget
+    failed: set[int] = set()  # tried cuts whose pass fails, by the lemma or run
     try:
         for cut, classes in _cutset_pool(g, minimal_separators(g, budget)):
             budget.spend()
+            if any(cut & ~(1 << u) in failed for u in iter_bits(cut)):
+                failed.add(cut)
+                continue
             label, path = _parity_pass(g, cut, classes, budget)
             if path is None:
                 break
+            failed.add(cut)
         else:
             return CutsetSearchResult("none", None, budget.spent)
     except SearchBudgetExceeded:

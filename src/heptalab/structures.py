@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .coloring import Coloring
 from .detect import Budget, find_induced_embedding, has_c7_complement
@@ -361,9 +361,9 @@ def verify_heptagram_type(g: Graph, w: HeptagramTypeWitness) -> StructureVerdict
         for d in (1, 3, 4, 6):
             if outer[(i + d) % 7]:
                 return StructureVerdict(False, "9", (i, _first_bit(outer[(i + d) % 7])))
-    for i in range(7):
-        if outer[i] and outer[(i + 1) % 7] and outer[(i + 2) % 7]:
-            return StructureVerdict(False, "10", (i,))
+    crowded = _crowded_window(outer)
+    if crowded is not None:
+        return StructureVerdict(False, "10", (crowded,))
     return StructureVerdict(True)
 
 
@@ -591,16 +591,23 @@ def generate_t11_type(sizes: Iterable[int]) -> tuple[Graph, T11Witness]:
     return g, T11Witness(tuple(frozenset(p) for p in parts))
 
 
+def _crowded_window(outer: Sequence[int]) -> int | None:
+    """The first i with outer groups i, i+1 and i+2 (mod 7) all nonempty,
+    which rule 10 forbids, or None; ``outer`` holds sizes or masks."""
+    return next(
+        (i for i in range(7) if outer[i] and outer[(i + 1) % 7] and outer[(i + 2) % 7]), None
+    )
+
+
 def _validate_outer_sizes(y_sizes: tuple[int, ...]) -> None:
     if any(s < 0 for s in y_sizes):
         raise GenerationError("outer group sizes must be nonnegative", rule="partition")
-    for i in range(7):
-        if y_sizes[i] and y_sizes[(i + 1) % 7] and y_sizes[(i + 2) % 7]:
-            raise GenerationError(
-                "three consecutive outer groups are nonempty, violating rule 10 "
-                "(each window of three consecutive groups needs an empty one)",
-                rule="10",
-            )
+    if _crowded_window(y_sizes) is not None:
+        raise GenerationError(
+            "three consecutive outer groups are nonempty, violating rule 10 "
+            "(each window of three consecutive groups needs an empty one)",
+            rule="10",
+        )
 
 
 _CUSTOM_ATTEMPTS = 200  # random draws of the "custom" profile before giving up

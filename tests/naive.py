@@ -378,6 +378,69 @@ def shaped_cutsets_by_subsets(g: Graph) -> set[int]:
     }
 
 
+def shape_classes(rows: tuple[int, ...], cut: int) -> list[tuple[int, ...]] | None:
+    """The ``_parity_pass`` classes of ``cut``'s shape, or None, by search
+    from scratch: one class per component of a bipartite G[cut], its two
+    color classes with the component's least vertex first; else the parts
+    of a complete multipartite G[cut] as one class.  Classes and parts come
+    in order of their least vertex."""
+    classes = []
+    remaining = cut
+    while remaining:
+        colors, layer, side = [0, 0], remaining & -remaining, 0
+        while layer:
+            colors[side] |= layer
+            side ^= 1
+            reach = 0
+            for u in _bits(layer):
+                reach |= rows[u]
+            if reach & layer:  # an edge inside a BFS layer closes an odd cycle
+                break
+            layer = reach & cut & ~(colors[0] | colors[1])
+        if layer:
+            break
+        classes.append((colors[0], colors[1]))
+        remaining &= ~(colors[0] | colors[1])
+    else:
+        return classes
+    # complete multipartite iff non-adjacency is an equivalence: the parts
+    parts = []
+    remaining = cut
+    while remaining:
+        part = cut & ~rows[(remaining & -remaining).bit_length() - 1]
+        for v in _bits(part):
+            if cut & ~rows[v] != part:
+                return None
+        parts.append(part)
+        remaining &= ~part
+    return [tuple(parts)]
+
+
+def cutset_pool_from_scratch(g: Graph, separators: list[frozenset[int]]):
+    """The cutset pool as ``harmonious._cutset_pool`` yields it, each
+    one-vertex extension tested with a fresh component search and a fresh
+    ``shape_classes``: the shaped separators in order, then the shaped,
+    disconnecting one-vertex extensions of each admitted set in turn."""
+    full = (1 << g.n) - 1
+    masks = [sum(1 << v for v in sep) for sep in separators]
+    seen = set(masks)
+    admitted = []
+    for cut in masks:
+        if (shape := shape_classes(g.rows, cut)) is not None:
+            admitted.append(cut)
+            yield cut, shape
+    for base in admitted:  # grows while it is walked
+        for v in _bits(full & ~base):
+            cut = base | 1 << v
+            if cut in seen:
+                continue
+            seen.add(cut)
+            if len(_components(g.rows, full & ~cut)) >= 2:
+                if (shape := shape_classes(g.rows, cut)) is not None:
+                    admitted.append(cut)
+                    yield cut, shape
+
+
 def _set_partitions(items: list[int]):
     if not items:
         yield []

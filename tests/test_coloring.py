@@ -88,6 +88,19 @@ class TestExactChromatic:
             searched += res.nodes_explored > 0
         assert searched == 26
 
+    def test_pinned_search_colorings(self):
+        # 30 seeded G(n, p) graphs whose search branches, n = 12-45 and p in
+        # (0.3, 0.5, 0.7) (random.Random(909)), with chi, the node count and
+        # the coloring the search returns (comma-separated, by vertex)
+        pins = Path(__file__).parent / "data" / "search_pins.tsv"
+        for line in pins.read_text().splitlines():
+            g6, chi, nodes, colors = line.split("\t")
+            g = from_graph6(g6)
+            res = chromatic_number_exact(g)
+            assert (res.chi, res.nodes_explored) == (int(chi), int(nodes)), g6
+            assert res.nodes_explored > 0 and is_proper(g, res.coloring), g6
+            assert ",".join(str(res.coloring.colors[v]) for v in range(g.n)) == colors, g6
+
 
 class TestFourColorT11:
     def test_class_table(self):

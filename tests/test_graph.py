@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heptalab.corpus import nonisomorphic_graphs
 from heptalab.graph import (
     Graph,
     Graph6Error,
@@ -164,6 +165,35 @@ class TestPickle:
         assert data.count(b"K\x05") == 1
         with pytest.raises(ValueError, match="not symmetric"):
             pickle.loads(data.replace(b"K\x05", b"K\x04"))
+
+
+class TestTrustedConstruction:
+    def test_derived_graphs_pass_the_constructor_checks(self):
+        # graphs built without the checks hold rows the checks accept
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.randint(0, 12)
+            g = random_graph(rng, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            derived = [
+                from_graph6(to_graph6(g)),
+                g.complement(),
+                induced_subgraph(g, rng.sample(range(n), n // 2))[0],
+                g.relabel(perm),
+                g.with_vertex(rng.getrandbits(n)),
+            ]
+            for h in derived:
+                assert isinstance(h.rows, tuple) and Graph(h.n, h.rows) == h
+
+    def test_orderly_generation_passes_the_constructor_checks(self):
+        for g in nonisomorphic_graphs(6):
+            assert Graph(g.n, g.rows) == g
+
+    def test_unpickling_checks_a_trusted_graph(self):
+        bad = Graph._trusted(2, [0b10, 0])
+        with pytest.raises(ValueError, match="not symmetric"):
+            pickle.loads(pickle.dumps(bad))
 
 
 class TestComplement:

@@ -1,4 +1,6 @@
 import random
+from itertools import islice
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -7,7 +9,7 @@ from heptalab import harmonious
 from heptalab.coloring import Coloring, chromatic_number_exact, greedy_coloring, is_proper
 from heptalab.corpus import all_graphs_up_to
 from heptalab.detect import Budget, c7_complement, find_full_house, find_odd_hole
-from heptalab.graph import Graph, induced_subgraph, iter_bits, mask_of
+from heptalab.graph import Graph, from_graph6, induced_subgraph, iter_bits, mask_of, to_graph6
 from heptalab.detect import SearchBudgetExceeded
 from heptalab.structures import generate_heptagram_type, generate_t11_type
 from heptalab.harmonious import (
@@ -23,6 +25,7 @@ from heptalab.harmonious import (
 from .naive import (
     _adjacency,
     _candidate_partitions,
+    cutset_pool_from_scratch,
     first_harmonious_candidate,
     from_networkx,
     harmonious_cutset_by_partitions,
@@ -30,6 +33,7 @@ from .naive import (
     induced_path_lengths,
     is_shaped,
     minimal_separators_by_subsets,
+    shape_classes,
     shaped_cutsets_by_subsets,
 )
 from .planted import glued_instances, planted_instances
@@ -82,6 +86,25 @@ def record_pool(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(harmonious, "_cutset_pool", recording)
     return tried
+
+
+def record_passes(monkeypatch) -> list[int]:
+    """The cutsets the search gives a parity pass, recorded as it runs."""
+    passed: list[int] = []
+    run = harmonious._parity_pass
+
+    def recording(g, cut, classes, budget):
+        passed.append(cut)
+        return run(g, cut, classes, budget)
+
+    monkeypatch.setattr(harmonious, "_parity_pass", recording)
+    return passed
+
+
+def structured_bench_graphs() -> list[Graph]:
+    """The 24 class members of ``bench/structured.tsv``."""
+    rows = (Path(__file__).parent.parent / "bench" / "structured.tsv").read_text().splitlines()
+    return [from_graph6(row.split("\t")[1]) for row in rows[1:]]
 
 
 class TestVerify:
@@ -204,6 +227,21 @@ class TestPool:
             assert len(pool) == len(set(pool)), g
             assert set(pool) == shaped_cutsets_by_subsets(g), g
 
+    def test_matches_the_from_scratch_pool(self):
+        # the same (cut, classes) sequence as testing every extension with a
+        # fresh component search and shape; glued chains have huge pools, so
+        # their first 3,000 sets are compared
+        graphs = [g for g in all_graphs_up_to(7) if g.n and g.is_connected()]
+        graphs += random_connected_graphs(
+            80, seed=17, sizes=(8, 16), densities=(0.15, 0.2, 0.3, 0.5)
+        )
+        graphs += glued_instances(3, seed=2) + structured_bench_graphs()
+        for g in graphs:
+            separators = minimal_separators(g)
+            got = islice(harmonious._cutset_pool(g, separators), 3000)
+            want = islice(cutset_pool_from_scratch(g, separators), 3000)
+            assert list(got) == list(want), to_graph6(g)
+
     def test_shaped_separators_come_first(self):
         g = Graph.cycle(6)
         separators = minimal_separators(g)
@@ -298,7 +336,7 @@ class TestParityPass:
         # the last of the four flips, {0} against {3, 5}, is consistent
         g = Graph.cycle(8)
         cut = mask_of((0, 3, 5))
-        classes = harmonious._shape(g.rows, cut)
+        classes = shape_classes(g.rows, cut)
         assert len(classes) == 3
         all_false = next(_candidate_partitions(_adjacency(g), cut))
         assert all_false == (frozenset({0, 3, 5}),)
@@ -350,7 +388,7 @@ class TestParityPass:
         edges = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5), (5, 1), (2, 6), (3, 6)]
         g = Graph.from_edges(7, edges)
         cut = mask_of((0, 1, 2, 3))
-        classes = harmonious._shape(g.rows, cut)
+        classes = shape_classes(g.rows, cut)
         assert classes == [(mask_of((0, 1)), 1 << 2, 1 << 3)]
         _, path = harmonious._parity_pass(g, cut, classes, Budget())
         assert path == (0, 4, 5, 1)
@@ -381,6 +419,57 @@ class TestParityPass:
         with pytest.raises(RuntimeError):
             find_harmonious_cutset(g)
         assert [p.cutset for p in calls] == [frozenset({4, 5})]
+
+
+class TestInheritedFailures:
+    """A pool set one vertex larger than a set whose pass failed gets no
+    parity pass (the lemma in the ``harmonious`` docstring); run directly,
+    its pass fails."""
+
+    def test_lemma_on_every_pool_superset(self):
+        # every shaped, disconnecting superset of a failed set fails
+        graphs = [g for g in all_graphs_up_to(6) if g.n and g.is_connected()]
+        graphs += random_connected_graphs(60, seed=21, sizes=(7, 10))
+        superset_checks = 0
+        for g in graphs:
+            pool = list(cutset_pool_from_scratch(g, minimal_separators(g)))
+            verdicts = [harmonious._parity_pass(g, cut, cls, Budget())[1] for cut, cls in pool]
+            for (cut, _), path in zip(pool, verdicts):
+                if path is None:
+                    continue
+                for (other, _), other_path in zip(pool, verdicts):
+                    if other != cut and other & cut == cut:
+                        assert other_path is not None, (to_graph6(g), cut, other)
+                        superset_checks += 1
+        assert superset_checks > 1000
+
+    def skipped(self, monkeypatch, g: Graph) -> list[int]:
+        tried, passed = record_pool(monkeypatch), record_passes(monkeypatch)
+        res = find_harmonious_cutset(g)
+        monkeypatch.undo()
+        assert res == find_harmonious_cutset(g)  # recording changes nothing
+        if res.status == "found":  # verify_harmonious repeats the last pass
+            assert passed.pop() == passed[-1] == tried[-1] == mask_of(res.partition.cutset)
+        assert set(passed) <= set(tried) and len(passed) == len(set(passed))
+        skipped = [cut for cut in tried if cut not in set(passed)]
+        for cut in skipped:
+            _, path = harmonious._parity_pass(g, cut, shape_classes(g.rows, cut), Budget())
+            assert path is not None, (to_graph6(g), cut)
+        return skipped
+
+    def test_skipped_sets_fail_on_random_graphs(self, monkeypatch):
+        graphs = random_connected_graphs(
+            150, seed=13, sizes=(8, 14), densities=(0.15, 0.2, 0.3, 0.5)
+        )
+        assert sum(len(self.skipped(monkeypatch, g)) for g in graphs) > 0
+
+    def test_skipped_sets_fail_on_a_heptagram_type_instance(self, monkeypatch):
+        g, _ = generate_heptagram_type([1] * 7, [0, 1, 0, 0, 1, 0, 0])
+        assert len(self.skipped(monkeypatch, g)) >= 1
+
+    def test_skipped_sets_fail_on_the_structured_bench_instances(self, monkeypatch):
+        for g in structured_bench_graphs():
+            self.skipped(monkeypatch, g)
 
 
 class TestAgainstPartitionSearch:

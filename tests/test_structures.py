@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heptalab import structures
+from heptalab.cli import _random_outer_sizes
 from heptalab.corpus import nonisomorphic_graphs
 from heptalab.detect import (
     Budget,
@@ -181,6 +183,50 @@ class TestVerifyHeptagramType:
         with pytest.raises(GenerationError) as exc:
             generate_heptagram_type([1] * 7, [1, 1, 1, 0, 0, 0, 0])
         assert exc.value.rule == "10"
+
+    def test_rule_ten_callers_agree(self):
+        # every outer size vector in {0,1,2}^7: the verifier, the generator's
+        # check and the CLI's repair all read structures._crowded_window
+        def repaired_by_hand(sizes):
+            sizes = list(sizes)
+            for i in range(7):
+                if sizes[i] and sizes[(i + 1) % 7] and sizes[(i + 2) % 7]:
+                    sizes[(i + 2) % 7] = 0
+            return sizes
+
+        class Draws:  # stands in for the CLI's random stream
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def randint(self, lo, hi):
+                return next(self.values)
+
+        joined = ("complete", "linked", "seen")
+        crowded_count = 0
+        for sizes in product(range(3), repeat=7):
+            crowded = next(
+                (i for i in range(7) if all(sizes[(i + d) % 7] for d in range(3))), None
+            )
+            assert structures._crowded_window(sizes) == crowded, sizes
+            crowded_count += crowded is not None
+            g, parts = structures._blow_up(
+                (1,) * 7 + sizes, lambda s, t: structures._slot_rule(s, t)[0] in joined
+            )
+            w = HeptagramTypeWitness(
+                tuple(frozenset(p) for p in parts[:7]), tuple(frozenset(p) for p in parts[7:])
+            )
+            verdict = verify_heptagram_type(g, w)
+            if crowded is None:
+                assert verdict == StructureVerdict(True), sizes
+                generate_heptagram_type([1] * 7, sizes)
+            else:
+                assert verdict == StructureVerdict(False, "10", (crowded,)), sizes
+                with pytest.raises(GenerationError, match="rule 10"):
+                    generate_heptagram_type([1] * 7, sizes)
+            repaired = _random_outer_sizes(Draws(sizes))
+            assert repaired == repaired_by_hand(sizes), sizes
+            assert structures._crowded_window(repaired) is None, sizes
+        assert 0 < crowded_count < 3**7
 
 
 class TestVerifyT11:
