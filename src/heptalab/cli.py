@@ -158,11 +158,12 @@ def analyze_graph(
             found["harmonious_status"] = "skipped"
             found["harmonious"] = None
         t11 = recognize_t11_type(g)
-        try:
-            hepta = recognize_heptagram_type(g, Budget(DEFAULT_BUDGET))
-        except SearchBudgetExceeded:
-            hepta = None
-            notes.append("heptagram-type search hit its budget")
+        hepta = None  # the recognizer's answer, too, without the antihole
+        if facts["has_c7_complement"]:
+            try:
+                hepta = recognize_heptagram_type(g, Budget(DEFAULT_BUDGET))
+            except SearchBudgetExceeded:
+                notes.append("heptagram-type search hit its budget")
         found["t11_type"] = t11.to_json_dict() if t11 else None
         found["heptagram_type"] = hepta.to_json_dict() if hepta else None
         report["structures"] = found

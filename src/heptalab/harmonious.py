@@ -6,14 +6,15 @@ between cutset vertices whose interior avoids the cutset has even length when
 its endpoints share a part and odd length otherwise.  Two proper colorings of
 the two sides can then be aligned part-by-part with color swaps and glued.
 
-The cutset search is exact: it settles every vertex set that disconnects
-the graph and induces a bipartite or complete multipartite graph, the only
-shapes a harmonious cutset can take, by one parity pass over those paths
-or by the lemma below.  A parity union-find settles in that pass which
-components of a bipartite set swap their two colors.  Pool and pass are
-exponential in the worst case, so the search and every check charge a
-``detect.Budget`` and report "inconclusive" when it runs dry; neither
-ever guesses.
+The cutset search is exact.  A harmonious cutset induces a bipartite or
+complete multipartite graph, and the search gives one parity pass over
+those paths to each minimal separator of such a shape.  Every other shaped
+set that disconnects the graph contains one of them and fails with it, by
+the lemma below, so "none" rests on the lemma.  A parity union-find
+settles in the pass which components of a bipartite set swap their two
+colors.  Separators and pass are exponential in the worst case, so the
+search and every check charge a ``detect.Budget`` and report
+"inconclusive" when it runs dry; neither ever guesses.
 
 Labels suit a shaped set X when the two color classes of each component
 of a bipartite G[X] differ (the parts of a complete multipartite one are
@@ -32,14 +33,13 @@ of Q in two parts are adjacent, and Q is their edge.  Ends in one part
 are not; an inner vertex of Q in another part would see both, so Q has
 length two or each piece joins one part and is even.  G[X] is complete
 multipartite with the parts of X' met on X, at most two if it is
-bipartite, and labeling X by them suits X.  So the search gives no pass
-to a set one vertex larger than a failed set and counts it as failed
-too; only ``steps`` drop.
+bipartite, and labeling X by them suits X.  So the search tries only
+minimal separators, and it gives no pass to a separator one vertex larger
+than a failed one but counts it as failed too.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
@@ -282,55 +282,39 @@ def _grow(
 def _cutset_pool(
     g: Graph, separators: list[frozenset[int]]
 ) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """Every set X (as a mask) that disconnects g while G[X] is bipartite or
-    complete multipartite, each once and with the ``_parity_pass`` classes
-    of its shape (bipartite when it can be, else its parts as one class):
-    the shaped minimal separators in the given order, then every set
-    reached from them by adding one vertex at a time while it stays shaped
-    and disconnecting.  Shape is hereditary, and such an X contains a
-    minimal separator S of two vertices it separates; every set between S
-    and X separates them too, so a chain leads to X.
+    """The shaped minimal separators (as masks) in the given order, each
+    with the ``_parity_pass`` classes of its shape: bipartite when it can
+    be, else its parts as one class.  ``_grow`` builds both shapes of a
+    separator one vertex at a time, and a set with neither is dropped.
 
-    Each admitted X keeps both its shapes, and g - X is split into its
-    components once, when X is extended.  So an extension X + v is tested
-    without a search: it disconnects unless g - X has two components and
-    one is {v}, and ``_grow`` gives its shapes."""
-    rows, full = g.rows, (1 << g.n) - 1
-    admitted: deque = deque()  # (X, bipartite classes, parts), not yet extended
-    seen = set()
+    No larger set is needed.  A shaped X that disconnects g contains a
+    minimal (a, b)-separator S for two vertices a and b that X separates;
+    S is shaped too, shape being hereditary, and if no labels suit S, none
+    suit X by the lemma above."""
+    rows = g.rows
     for sep in separators:
         cut = mask_of(sep)
-        seen.add(cut)
         bip, parts, done = [], (), 0
         for v in iter_bits(cut):
             bip, parts = _grow(rows, done, bip, parts, v)
+            if bip is None and parts is None:
+                break
             done |= 1 << v
-        if bip is not None or parts is not None:
-            admitted.append((cut, bip, parts))
+        else:
             yield cut, [parts] if bip is None else bip
-    while admitted:
-        base, bip, parts = admitted.popleft()
-        comps = g.component_masks(full & ~base)
-        alone = comps if len(comps) == 2 else ()  # a lone v leaves one component
-        for v in iter_bits(full & ~base):
-            cut = base | 1 << v
-            if cut in seen or 1 << v in alone:
-                continue
-            seen.add(cut)
-            grown = _grow(rows, base, bip, parts, v)
-            if grown != (None, None):
-                admitted.append((cut,) + grown)
-                yield cut, [grown[1]] if grown[0] is None else grown[0]
 
 
 def find_harmonious_cutset(g: Graph, budget: Budget | None = None) -> CutsetSearchResult:
-    """Search every possible cutset for a verifiable harmonious partition.
+    """Search the shaped minimal separators for a verifiable harmonious
+    partition.
 
     The search walks ``_cutset_pool`` with one ``_parity_pass`` per set,
-    except for the sets that inherit a failure by the lemma above.  As
-    the least vertex of each class keeps label 0, a bipartite set gets the
-    first of its two-colorings in flip order, so a hit is deterministic; it
-    is checked again by ``verify_harmonious``, and "none" is a certificate.
+    except for the sets one vertex larger than a failed one, which fail
+    too by the lemma above.  As the least vertex of each class keeps label
+    0, a bipartite set gets the first of its two-colorings in flip order,
+    so a hit is deterministic; it is checked again by
+    ``verify_harmonious``.  "None" means that no shaped minimal separator
+    passes, and by the lemma no shaped disconnecting set of any size does.
     Each minimal separator built, cutset tried and parity-pass node charges
     ``budget`` (a fresh ``Budget()`` if None) a step, and ``steps`` reads
     what it spent; when it runs dry the answer is "inconclusive".

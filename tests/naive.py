@@ -417,10 +417,12 @@ def shape_classes(rows: tuple[int, ...], cut: int) -> list[tuple[int, ...]] | No
 
 
 def cutset_pool_from_scratch(g: Graph, separators: list[frozenset[int]]):
-    """The cutset pool as ``harmonious._cutset_pool`` yields it, each
-    one-vertex extension tested with a fresh component search and a fresh
-    ``shape_classes``: the shaped separators in order, then the shaped,
-    disconnecting one-vertex extensions of each admitted set in turn."""
+    """Every shaped set that disconnects g, each with its ``shape_classes``:
+    the shaped separators in order, then the shaped, disconnecting
+    one-vertex extensions of each admitted set in turn, each tested with a
+    fresh component search.  ``harmonious._cutset_pool`` yields only the
+    first part; the lemma in the ``harmonious`` docstring says the rest
+    cannot change an answer, and the tests check it against this pool."""
     full = (1 << g.n) - 1
     masks = [sum(1 << v for v in sep) for sep in separators]
     seen = set(masks)
@@ -517,12 +519,13 @@ def _candidate_partitions(adj: list[int], cut: int):
 
 
 def harmonious_cutset_by_partitions(g: Graph) -> tuple[str, object]:
-    """(status, partition) of the first harmonious partition over the
-    package's cutset pool, found by verifying every candidate partition of
-    each cutset in turn with ``verify_harmonious``: 2^(c-1) verifier calls
-    for a bipartite cutset whose G[X] has c components."""
+    """(status, partition) of the first harmonious partition over every
+    shaped disconnecting set (``cutset_pool_from_scratch``), found by
+    verifying every candidate partition of each set in turn with
+    ``verify_harmonious``: 2^(c-1) verifier calls for a bipartite cutset
+    whose G[X] has c components."""
     adj = _adjacency(g)
-    for cut, _ in harmonious._cutset_pool(g, harmonious.minimal_separators(g)):
+    for cut, _ in cutset_pool_from_scratch(g, harmonious.minimal_separators(g)):
         partition = first_harmonious_candidate(g, adj, cut)
         if partition is not None:
             return "found", partition

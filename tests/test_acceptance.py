@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from heptalab.cli import class_record, verdict_from_records
+from heptalab.cli import _random_outer_sizes, class_record, verdict_from_records
 from heptalab.coloring import chromatic_number_exact, is_proper
 from heptalab.corpus import all_graphs_up_to, random_graphs
 from heptalab.detect import (
@@ -99,14 +99,6 @@ def planted200():
     return planted_instances(PLANTED_COUNT, SEED)
 
 
-def _rule_ten_outer_sizes(rng: random.Random) -> list[int]:
-    sizes = [rng.randint(0, 2) for _ in range(7)]
-    for i in range(7):
-        if sizes[i] and sizes[(i + 1) % 7] and sizes[(i + 2) % 7]:
-            sizes[(i + 2) % 7] = 0
-    return sizes
-
-
 def _generate_structures(seed: int):
     """The criterion-7 instance set plus its canonical JSON transcript."""
     rng = random.Random(seed)
@@ -117,7 +109,7 @@ def _generate_structures(seed: int):
     hepta = []
     for _ in range(STRUCTURE_COUNT):
         sizes = [rng.randint(1, 3) for _ in range(7)]
-        outer = _rule_ten_outer_sizes(rng)
+        outer = _random_outer_sizes(rng)
         hepta.append((generate_heptagram_type(sizes, outer), sizes, outer))
     lines = [
         json.dumps(

@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 import heptalab
-from heptalab import cli
+from heptalab import cli, structures
 from heptalab.cli import analyze_graph, class_record, main
 from heptalab.corpus import MAX_ENUMERATION_N, all_graphs_up_to
 from heptalab.detect import Budget, c7_complement
 from heptalab.graph import Graph, from_graph6, to_graph6
 from heptalab.harmonious import HarmoniousPartition, verify_harmonious
+from heptalab.structures import generate_t11_type
 
 from .naive import (
     full_houses_by_degree,
@@ -324,6 +325,33 @@ class TestOnePipeline:
         (v,) = json_lines(out)
         assert code == 2
         assert v["population"] == 1 and v["inconclusive"] == 1
+
+    def test_one_antihole_search_without_the_antihole(self, monkeypatch):
+        # the heptagram-type recognizer, which starts with the same search,
+        # runs only on graphs with the antihole; the report is the same
+        graphs = [generate_t11_type(sizes)[0] for sizes in ([1] * 11, [2, 1] * 5 + [3])]
+        graphs += [from_graph6(g6) for g6 in RECOGNIZER_MISSES] + [Graph.path(5)]
+        searches = []
+        real = cli.has_c7_complement
+
+        def counting(h):
+            searches.append(h)
+            return real(h)
+
+        monkeypatch.setattr(cli, "has_c7_complement", counting)
+        monkeypatch.setattr(structures, "has_c7_complement", counting)
+        seen = set()
+        for g in graphs:
+            searches.clear()
+            report = analyze_graph(g, structures=True, with_timings=False)
+            has_antihole = report["flags"]["has_c7_complement"]
+            assert len(searches) == 1 + has_antihole, to_graph6(g)
+            hepta = structures.recognize_heptagram_type(g)
+            assert report["structures"]["heptagram_type"] == (
+                hepta.to_json_dict() if hepta else None
+            )
+            seen.add(has_antihole)
+        assert seen == {False, True}
 
     def test_heptagram_recognizer_outcomes(self, monkeypatch):
         # an exhausted recognizer budget is a note and "inconclusive"; an

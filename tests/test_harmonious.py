@@ -220,17 +220,21 @@ class TestSeparators:
 
 class TestPool:
     def test_equals_subset_scan(self):
-        # adding vertices only above the largest member, with a seen-set
-        # prune, misses sets here; adding every vertex to every set does not
+        # the pool is the shaped minimal separators by subsets, in order; the
+        # full pool is every shaped disconnecting set, each once (adding
+        # vertices only above the largest member, with a seen-set prune,
+        # misses sets here; adding every vertex to every set does not)
         for g in random_connected_graphs(30, seed=5):
             pool = [cut for cut, _ in harmonious._cutset_pool(g, minimal_separators(g))]
-            assert len(pool) == len(set(pool)), g
-            assert set(pool) == shaped_cutsets_by_subsets(g), g
+            separators = minimal_separators_by_subsets(g)
+            assert pool == [mask_of(s) for s in separators if is_shaped(g, s)], g
+            full = [cut for cut, _ in cutset_pool_from_scratch(g, minimal_separators(g))]
+            assert len(full) == len(set(full)), g
+            assert set(full) == shaped_cutsets_by_subsets(g), g
 
     def test_matches_the_from_scratch_pool(self):
-        # the same (cut, classes) sequence as testing every extension with a
-        # fresh component search and shape; glued chains have huge pools, so
-        # their first 3,000 sets are compared
+        # the shaped members of the separators, in order, with the classes a
+        # fresh shape search gives them: the head of the full pool
         graphs = [g for g in all_graphs_up_to(7) if g.n and g.is_connected()]
         graphs += random_connected_graphs(
             80, seed=17, sizes=(8, 16), densities=(0.15, 0.2, 0.3, 0.5)
@@ -238,16 +242,30 @@ class TestPool:
         graphs += glued_instances(3, seed=2) + structured_bench_graphs()
         for g in graphs:
             separators = minimal_separators(g)
-            got = islice(harmonious._cutset_pool(g, separators), 3000)
-            want = islice(cutset_pool_from_scratch(g, separators), 3000)
-            assert list(got) == list(want), to_graph6(g)
+            shaped = [mask_of(s) for s in separators if is_shaped(g, s)]
+            got = list(harmonious._cutset_pool(g, separators))
+            assert [cut for cut, _ in got] == shaped, to_graph6(g)
+            assert got == list(islice(cutset_pool_from_scratch(g, separators), len(shaped)))
 
     def test_shaped_separators_come_first(self):
+        # the full pool starts with the nine separators of the 6-cycle and
+        # goes on to larger sets; the package pool stops after the nine
         g = Graph.cycle(6)
         separators = minimal_separators(g)
         pool = [cut for cut, _ in harmonious._cutset_pool(g, separators)]
-        assert pool[: len(separators)] == [sum(1 << v for v in s) for s in separators]
-        assert len(pool) > len(separators)
+        full = [cut for cut, _ in cutset_pool_from_scratch(g, separators)]
+        assert pool == full[: len(separators)] == [mask_of(s) for s in separators]
+        assert len(pool) == 9 and len(full) > len(pool)
+
+    def test_every_shaped_cutset_contains_a_shaped_separator(self):
+        # why the pool may stop after the separators: by the lemma in the
+        # ``harmonious`` docstring, a set fails when one inside it does
+        graphs = [g for g in all_graphs_up_to(6) if g.n and g.is_connected()]
+        graphs += random_connected_graphs(40, seed=19, sizes=(7, 11))
+        for g in graphs:
+            shaped = [mask_of(s) for s in minimal_separators(g) if is_shaped(g, s)]
+            for cut in shaped_cutsets_by_subsets(g):
+                assert any(s & cut == s for s in shaped), (to_graph6(g), cut)
 
     def test_accepted_cutsets_are_shaped(self):
         for inst in planted_instances(40, seed=31):
@@ -308,14 +326,35 @@ class TestSearch:
         assert res.status == "inconclusive" and res.partition is None
         assert tried == []
 
-    def test_budget_runs_out_in_the_closure(self, monkeypatch):
-        g = Graph.cycle(5)  # no harmonious cutset; 5 separators, 10 cutsets
-        separators = minimal_separators(g)
+    def test_budget_runs_out_at_the_last_separator(self, monkeypatch):
+        # no harmonious cutset: 5 separators, all shaped, and 5 larger
+        # shaped cutsets the search never tries
+        g = Graph.cycle(5)
+        separators = [mask_of(s) for s in minimal_separators(g)]
+        assert len(shaped_cutsets_by_subsets(g)) == 10
         done = find_harmonious_cutset(g)
         tried = record_pool(monkeypatch)
         res = find_harmonious_cutset(g, Budget(done.steps - 1))
         assert res.status == "inconclusive" and res.steps == done.steps
-        assert len(tried) > len(separators)  # past the separators
+        assert tried == separators
+
+    def test_pinned_steps_never_rise(self):
+        # the 24 structured bench instances, then 60 connected G(n, p) with
+        # n = 17-20 and p in (0.15, 0.2, 0.25) (random.Random(2027)), with
+        # the status, parts ("|" between them, "-" for none) and steps of
+        # the search that also walked the one-vertex extensions of each set
+        pins = Path(__file__).parent / "data" / "cutset_steps.tsv"
+        fell = 0
+        for line in pins.read_text().splitlines():
+            g6, status, parts, steps = line.split("\t")
+            res = find_harmonious_cutset(from_graph6(g6))
+            got = "-" if res.partition is None else "|".join(
+                ",".join(map(str, sorted(part))) for part in res.partition.parts
+            )
+            assert (res.status, got) == (status, parts), g6
+            assert res.steps <= int(steps), g6
+            fell += res.steps < int(steps)
+        assert fell >= 30
 
 
 class TestParityPass:
@@ -348,16 +387,19 @@ class TestParityPass:
 
     def test_relabeled_flips_match_the_oracle(self):
         # every bipartite cutset with three or more components of relabeled
-        # even cycles: the pass accepts exactly when some flip verifies, and
-        # then with the oracle's first verified partition
+        # even cycles (none is a minimal separator, so the full pool gives
+        # them): the pass accepts exactly when some flip verifies, and then
+        # with the oracle's first verified partition
         rng = random.Random(8)
+        checked = 0
         for n in (8, 10, 12):
             perm = list(range(n))
             rng.shuffle(perm)
             g = Graph.cycle(n).relabel(perm)
-            for cut, classes in harmonious._cutset_pool(g, minimal_separators(g)):
+            for cut, classes in cutset_pool_from_scratch(g, minimal_separators(g)):
                 if len(classes) < 3:
                     continue
+                checked += 1
                 label, path = harmonious._parity_pass(g, cut, classes, Budget())
                 expected = first_harmonious_candidate(g, _adjacency(g), cut)
                 if path is not None:
@@ -368,6 +410,7 @@ class TestParityPass:
                     parts[label[v]] |= 1 << v
                 got = tuple(frozenset(iter_bits(m)) for m in parts if m)
                 assert got == expected.parts, (n, cut)
+        assert checked > 100
 
     def test_pair_with_paths_of_both_parities_is_skipped(self):
         g = five_cycle_with_triangle()
