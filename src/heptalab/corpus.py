@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import Graph, to_graph6
 
@@ -117,10 +117,6 @@ def canonical_relabel(g: Graph) -> Graph:
     return g if order is None else g.relabel(order)
 
 
-def canonical_graph6(g: Graph) -> str:
-    return to_graph6(canonical_relabel(g)).decode("ascii")
-
-
 @lru_cache(maxsize=None)
 def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on n vertices up to isomorphism, in canonical form,
@@ -177,9 +173,3 @@ def random_graphs(count: int, sizes: Sequence[int], seed: int) -> list[Graph]:
         pairs = n * (n - 1) // 2
         out.append(Graph.from_edge_mask(n, rng.getrandbits(pairs) if pairs else 0))
     return out
-
-
-def write_graph6_file(path, graphs: Iterable[Graph]) -> None:
-    with open(path, "wb") as fh:
-        for g in graphs:
-            fh.write(to_graph6(g) + b"\n")

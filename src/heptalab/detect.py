@@ -8,9 +8,10 @@ complement, which is an induced 7-vertex antihole of the graph.
 ``is_perfect`` runs the odd-hole search on the graph and on its complement;
 ``find_full_house`` enumerates 4-cliques and scans for the attached fifth
 vertex.  Their deliberately simple exhaustive counterparts, used as
-cross-check oracles, live in the test suite (``tests/naive.py``).  Every
-exponential search of the package charges its steps to a ``Budget``, whose
-``spend`` is the one place that raises ``SearchBudgetExceeded``.
+cross-check oracles, live in the test suite (``tests/naive.py``).
+``verify_hit`` re-checks a witness of each kind directly, without a search.
+Every exponential search of the package charges its steps to a ``Budget``,
+whose ``spend`` is the one place that raises ``SearchBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, induced_subgraph, iter_bits, mask_of
+from .graph import Graph, iter_bits, mask_of
 
-MAX_PATTERN_SIZE = 12
 DEFAULT_BUDGET = 10_000_000  # search steps of a budgeted search unless told otherwise
 
 
@@ -148,61 +148,6 @@ def find_full_house(g: Graph) -> PatternHit | None:
     return None
 
 
-def find_induced_embedding(g: Graph, pattern: Graph) -> tuple[int, ...] | None:
-    """The first injective map (pattern vertex -> host vertex) preserving
-    both adjacency and non-adjacency, or None.  Backtracking with forward
-    checking on candidate bitmasks."""
-    if pattern.n > MAX_PATTERN_SIZE:
-        raise ValueError(f"pattern larger than the supported cap {MAX_PATTERN_SIZE}")
-    if pattern.n > g.n:
-        raise ValueError("pattern larger than host")
-    p = pattern.n
-    # most-constrained-first static order: descending degree, connected growth
-    order: list[int] = []
-    placed = 0
-    while len(order) < p:
-        cand = [v for v in range(p) if not (placed >> v) & 1]
-        cand.sort(key=lambda v: (-(pattern.rows[v] & placed).bit_count(), -pattern.degree(v), v))
-        v = cand[0]
-        order.append(v)
-        placed |= 1 << v
-    full = (1 << g.n) - 1
-    base = []
-    for v in range(p):
-        dv = pattern.degree(v)
-        base.append(mask_of(u for u in range(g.n) if g.degree(u) >= dv))
-    assignment = [-1] * p
-
-    def extend(idx: int, cands: list[int], used: int) -> bool:
-        if idx == p:
-            return True
-        v = order[idx]
-        for u in iter_bits(cands[v] & ~used):
-            assignment[v] = u
-            nxt = list(cands)
-            for w in order[idx + 1 :]:
-                if pattern.adjacent(v, w):
-                    nxt[w] = nxt[w] & g.rows[u]
-                else:
-                    nxt[w] = nxt[w] & ~g.rows[u] & (full ^ (1 << u))
-                if not nxt[w] & ~(used | (1 << u)):
-                    break
-            else:
-                if extend(idx + 1, nxt, used | (1 << u)):
-                    return True
-        return False
-
-    return tuple(assignment) if extend(0, base, 0) else None
-
-
-def find_induced_pattern(g: Graph, pattern: Graph, kind: str = "custom") -> PatternHit | None:
-    """First induced copy of ``pattern`` in ``g`` as a PatternHit, else None."""
-    emb = find_induced_embedding(g, pattern)
-    if emb is None:
-        return None
-    return PatternHit(kind, tuple(sorted(emb)))
-
-
 def has_c7_complement(g: Graph) -> bool:
     """True when ``g`` has an induced 7-vertex antihole, that is, when its
     complement has an induced 7-cycle.  The complement's rows are valid by
@@ -212,34 +157,45 @@ def has_c7_complement(g: Graph) -> bool:
     return _induced_cycle(rows, g.n, 7, 7, None) is not None
 
 
-def verify_hit(g: Graph, hit: PatternHit, pattern: Graph | None = None) -> bool:
-    """Re-check a reported hit from scratch against its named pattern.
+def _is_hole(g: Graph, cycle: int) -> bool:
+    """True when the vertices of the mask ``cycle`` induce a connected
+    2-regular subgraph of ``g``, that is, an induced cycle."""
+    return (
+        all((g.rows[v] & cycle).bit_count() == 2 for v in iter_bits(cycle))
+        and g.component_of(cycle & -cycle, cycle) == cycle
+    )
 
-    An odd hole is checked directly, so at any length: ``length`` distinct
-    vertices, odd and at least 5, inducing a connected 2-regular subgraph.
+
+def verify_hit(g: Graph, hit: PatternHit) -> bool:
+    """Re-check a reported hit against ``g`` from scratch, without a search.
+
+    The vertices must be distinct vertices of ``g``, or the answer is False.
+    An odd hole is ``length`` vertices, odd and at least 5, inducing a
+    connected 2-regular subgraph, so it is checked at any length.  A
+    7-antihole is seven vertices inducing such a subgraph in the complement.
+    A full house is five vertices with exactly two non-adjacent pairs, and
+    the pairs share a vertex: its complement is a path on three vertices
+    plus two isolated ones, so the non-neighbors inside have counts 2, 1, 1,
+    0, 0.
     """
-    if pattern is None:
-        if hit.kind == "odd_hole":
-            cycle = mask_of(hit.vertices)
-            return (
-                hit.length is not None
-                and hit.length % 2 == 1
-                and hit.length >= 5
-                and len(hit.vertices) == hit.length == cycle.bit_count()
-                and cycle >> g.n == 0
-                and all((g.rows[v] & cycle).bit_count() == 2 for v in hit.vertices)
-                and g.component_of(cycle & -cycle, cycle) == cycle
-            )
-        if hit.kind == "full_house":
-            pattern = full_house_graph()
-        elif hit.kind == "c7_complement":
-            pattern = c7_complement()
-        else:
-            raise ValueError(f"cannot re-derive pattern for kind {hit.kind!r}")
-    if len(set(hit.vertices)) != pattern.n:
+    if hit.kind not in ("odd_hole", "c7_complement", "full_house"):
+        raise ValueError(f"no check for hit kind {hit.kind!r}")
+    vs = hit.vertices
+    if not all(0 <= v < g.n for v in vs) or len(set(vs)) != len(vs):
         return False
-    sub, _ = induced_subgraph(g, hit.vertices)
-    return find_induced_embedding(sub, pattern) is not None if sub.n == pattern.n else False
+    inside = mask_of(vs)
+    if hit.kind == "odd_hole":
+        return (
+            hit.length is not None
+            and hit.length % 2 == 1
+            and hit.length >= 5
+            and len(vs) == hit.length
+            and _is_hole(g, inside)
+        )
+    if hit.kind == "c7_complement":
+        return len(vs) == 7 and _is_hole(g.complement(), inside)
+    strangers = sorted((inside & ~g.rows[v]).bit_count() - 1 for v in vs)
+    return strangers == [0, 0, 1, 1, 2]
 
 
 def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -15,9 +15,10 @@ verifier's docstring states what the numbered rules check.
 Everything here is pure and deterministic: verifiers scan exhaustively,
 and generators build instances part by part.  Both recognizers work on the
 false-twin quotient (one vertex per class of equal rows) and lift its
-witness back: the 11-ring one reads its witness off the classes, and the
-full-class one runs one budgeted, forward-checked backtracking search
-whose first levels pick the antihole that opens the ring parts.
+witness back: the 11-ring one reads its parts off the classes and walks
+their ring order in the quotient's complement, and the full-class one
+runs one budgeted, forward-checked backtracking search whose first levels
+pick the antihole that opens the ring parts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .coloring import Coloring
-from .detect import Budget, find_induced_embedding, has_c7_complement
+from .detect import Budget, has_c7_complement
 from .graph import Graph, induced_subgraph, iter_bits, mask_of
 
 
@@ -394,17 +395,27 @@ def recognize_t11_type(g: Graph) -> T11Witness | None:
     11-vertex (3,4,5)-circulant core has no false twins, so vertices of
     different parts have different rows.  The classes of equal rows are
     therefore the parts.  A graph with other than 11 classes is not of the
-    type; otherwise an induced copy of the core in the quotient on one
-    vertex per class orders the classes around the ring, and a missing copy
-    or a witness that fails verification shows that ``g`` is not of the type.
+    type.  Otherwise the complement of the quotient on one vertex per class
+    is the ring C11(1, 2) when ``g`` is of the type, and there a vertex
+    shares two neighbors with each ring neighbor and one with each vertex
+    two steps away.  So the ring order is walked from class 0, each step
+    going to an unused neighbor that shares two neighbors with the current
+    class.  A stuck walk, or a witness that fails verification, shows that
+    ``g`` is not of the type.
     """
     classes, quotient = _twin_quotient(g)
     if len(classes) != 11:
         return None
-    emb = find_induced_embedding(quotient, generate_t11_type([1] * 11)[0])
-    if emb is None:
-        return None
-    w = T11Witness(tuple(frozenset(iter_bits(classes[j])) for j in emb))
+    ring = quotient.complement().rows
+    order, used = [0], 1
+    while len(order) < 11:
+        here = ring[order[-1]]
+        steps = [v for v in iter_bits(here & ~used) if (ring[v] & here).bit_count() == 2]
+        if not steps:
+            return None
+        order.append(steps[0])
+        used |= 1 << steps[0]
+    w = T11Witness(tuple(frozenset(iter_bits(classes[j])) for j in order))
     return w.canonical() if verify_t11_type(g, w).ok else None
 
 

@@ -10,13 +10,11 @@ from heptalab.corpus import (
     _columns,
     _labeling_below,
     all_graphs_up_to,
-    canonical_graph6,
     canonical_relabel,
     nonisomorphic_graphs,
     random_graphs,
-    write_graph6_file,
 )
-from heptalab.graph import Graph, from_graph6, to_graph6
+from heptalab.graph import Graph, to_graph6
 
 from .naive import (
     canonical_by_placement,
@@ -130,15 +128,6 @@ class TestCanonicalRelabel:
         assert canonical_relabel(Graph.empty(0)) == Graph.empty(0)
         assert canonical_relabel(Graph.complete(4)) == Graph.complete(4)
 
-    def test_canonical_graph6_string(self):
-        s = canonical_graph6(Graph.cycle(5))
-        assert isinstance(s, str)
-        assert isomorphic(from_graph6(s), Graph.cycle(5))
-        rng = random.Random(8)
-        perm = list(range(5))
-        rng.shuffle(perm)
-        assert canonical_graph6(Graph.cycle(5).relabel(perm)) == s
-
 
 class TestRandomGraphs:
     def test_deterministic(self):
@@ -199,13 +188,3 @@ class TestReferenceCrossCheck:
     def test_n7_matches_networkx_atlas(self):
         assert_matches_atlas(7)
 
-
-class TestFileOutput:
-    def test_write_and_read_back(self, tmp_path):
-        graphs = random_graphs(12, [0, 1, 5, 8], seed=77)
-        path = tmp_path / "sample.g6"
-        write_graph6_file(path, graphs)
-        with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-        assert lines[-1] == b"" and len(lines) == 13
-        assert [from_graph6(line) for line in lines[:-1]] == graphs

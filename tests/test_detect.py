@@ -11,7 +11,6 @@ from heptalab.detect import (
     c7_complement,
     clique_number,
     find_full_house,
-    find_induced_pattern,
     find_odd_hole,
     full_house_graph,
     has_c7_complement,
@@ -30,6 +29,7 @@ from .naive import (
     is_perfect_by_subgraphs,
     naive_chromatic,
     odd_holes_by_isomorphism,
+    to_networkx,
 )
 
 PETERSEN = Graph.from_edges(
@@ -143,29 +143,21 @@ class TestFullHouse:
 class TestInducedPattern:
     def test_identity_c7_complement(self):
         g = c7_complement()
-        hit = find_induced_pattern(g, g, kind="c7_complement")
-        assert hit is not None and len(hit.vertices) == 7
-        assert verify_hit(g, hit)
-
-    def test_petersen_triangle_free(self):
-        assert find_induced_pattern(PETERSEN, Graph.complete(3)) is None
-        assert not any(
-            is_clique(PETERSEN, set(c)) for c in combinations(range(10), 3)
-        )
+        assert has_c7_complement(g)
+        assert verify_hit(g, PatternHit("c7_complement", tuple(range(7))))
 
     def test_t11_contains_c7_complement(self):
-        hit = find_induced_pattern(T11, c7_complement(), kind="c7_complement")
-        assert hit is not None
-        assert verify_hit(T11, hit)
-        # brute confirmation over all 7-subsets
-        found = False
-        for combo in combinations(range(11), 7):
+        assert has_c7_complement(T11)
+        # brute confirmation over all 7-subsets, each one checked without a search
+        hits = [
+            combo
+            for combo in combinations(range(11), 7)
+            if verify_hit(T11, PatternHit("c7_complement", combo))
+        ]
+        assert hits
+        for combo in hits:
             sub, _ = induced_subgraph(T11, combo)
-            if sorted(sub.degree(v) for v in range(7)) == [4] * 7:
-                if find_induced_pattern(sub, c7_complement()) is not None:
-                    found = True
-                    break
-        assert found
+            assert nx.is_isomorphic(to_networkx(sub), to_networkx(c7_complement()))
 
     def test_has_c7_complement_flags(self):
         assert has_c7_complement(c7_complement())
@@ -207,13 +199,30 @@ class TestInducedPattern:
             h = g.relabel(perm)
             assert has_c7_complement(h) and has_antihole7_by_isomorphism(h), to_graph6(h)
 
-    def test_pattern_larger_than_host(self):
-        with pytest.raises(ValueError):
-            find_induced_pattern(Graph.cycle(4), Graph.cycle(5))
+    def test_checks_agree_with_isomorphism_on_atlas(self):
+        # every graph on 5 vertices is or is not the full house, and every
+        # graph on 7 vertices is or is not the 7-antihole
+        targets = {
+            5: ("full_house", to_networkx(full_house_graph())),
+            7: ("c7_complement", to_networkx(c7_complement())),
+        }
+        seen = {5: 0, 7: 0}
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() not in targets:
+                continue
+            kind, target = targets[h.number_of_nodes()]
+            g = from_networkx(h)
+            answer = verify_hit(g, PatternHit(kind, tuple(range(g.n))))
+            assert answer == nx.is_isomorphic(h, target), (kind, to_graph6(g))
+            seen[g.n] += 1
+        assert seen == {5: 34, 7: 1044}
 
-    def test_pattern_cap(self):
-        with pytest.raises(ValueError):
-            find_induced_pattern(Graph.empty(20), Graph.empty(13))
+    def test_two_regular_complement_in_two_cycles_rejected(self):
+        # the complement of C3 + C4 is 2-regular in the complement, not one cycle
+        split = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+        g = split.complement()
+        assert not verify_hit(g, PatternHit("c7_complement", tuple(range(7))))
+        assert not has_c7_complement(g)
 
 
 class TestCliqueNumber:
@@ -314,3 +323,14 @@ class TestHitStaleness:
 
     def test_wrong_vertex_count(self):
         assert not verify_hit(Graph.cycle(5), PatternHit("odd_hole", (0, 1, 2, 3, 3), 5))
+
+    def test_vertex_outside_the_graph_is_false_for_every_kind(self):
+        cases = [
+            (Graph.cycle(5), "odd_hole", (0, 1, 2, 3), 5),
+            (full_house_graph(), "full_house", (0, 1, 2, 3), None),
+            (c7_complement(), "c7_complement", (0, 1, 2, 3, 4, 5), None),
+        ]
+        for g, kind, kept, length in cases:
+            assert verify_hit(g, PatternHit(kind, kept + (g.n - 1,), length))
+            for stray in (9, g.n, -1):
+                assert not verify_hit(g, PatternHit(kind, kept + (stray,), length)), (kind, stray)

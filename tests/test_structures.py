@@ -1,7 +1,7 @@
 import importlib.util
 import random
 import sys
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,6 @@ from heptalab.detect import (
     SearchBudgetExceeded,
     c7_complement,
     find_full_house,
-    find_induced_embedding,
     find_odd_hole,
     has_c7_complement,
 )
@@ -284,13 +283,16 @@ class TestRecognizeT11:
         assert recognize_t11_type(c7_complement()) is None
 
     def test_embeds_only_in_the_twin_quotient(self, monkeypatch):
+        # the ring order is walked in the complement of the quotient, and
+        # that complement is the only one the recognizer builds
         hosts = []
+        complement = Graph.complement
 
-        def spy(host, pattern):
+        def spy(host):
             hosts.append(host.n)
-            return find_induced_embedding(host, pattern)
+            return complement(host)
 
-        monkeypatch.setattr(structures, "find_induced_embedding", spy)
+        monkeypatch.setattr(Graph, "complement", spy)
         g, _ = generate_t11_type([30] * 11)
         w = recognize_t11_type(g)
         assert w is not None and w.size_vector() == (30,) * 11
@@ -323,6 +325,16 @@ class TestRecognizeT11:
         for _ in range(30):
             n = rng.randint(11, 14)
             cases.append(Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)))
+        # the complements of the ten 4-regular circulants C11(a, b), relabeled:
+        # five are the core with another ring order, and five are not members
+        for a, b in combinations(range(1, 6), 2):
+            perm = list(range(11))
+            rng.shuffle(perm)
+            cases.append(Graph.circulant(11, (a, b)).complement().relabel(perm))
+        # the core with one pair flipped, for each of its 55 pairs
+        core = Graph.circulant(11, (3, 4, 5))
+        for pair in combinations(range(11), 2):
+            cases.append(Graph.from_edges(11, sorted(set(core.edges()) ^ {pair})))
         members = 0
         for g in cases:
             w = recognize_t11_type(g)
@@ -333,7 +345,7 @@ class TestRecognizeT11:
             members += 1
             assert verify_t11_type(g, w).ok
             assert w.size_vector() in dihedral_images(sizes)
-        assert members >= 24
+        assert members >= 29
 
 
 class TestClassifyVertex:
