@@ -1,12 +1,12 @@
-"""Small-graph corpora: exhaustive enumeration up to isomorphism, canonical
-labeling, and seeded random samples.
+"""Small-graph corpora: exhaustive enumeration up to isomorphism and
+seeded random samples.
 
-Canonical form is the labeling whose graph6 bit string is lexicographically
-minimal, found by placing vertices one position at a time with prefix
-pruning.  Exhaustive enumeration is orderly generation: each canonical
+Enumeration is orderly generation.  A graph is canonical when no labeling
+gives it a lexicographically smaller graph6 bit string; each canonical
 (n-1)-vertex graph is extended by one vertex with every possible neighbor
-mask, and an extension is kept exactly when it is itself canonical, a test
-that stops at the first smaller labeling.  Every class is made once, with no
+mask, and an extension is kept exactly when it is itself canonical.  The
+canonicity test places vertices one position at a time with prefix pruning
+and stops at the first smaller labeling.  Every class is made once, with no
 dedupe; this is intended for n <= 8.
 """
 
@@ -35,16 +35,14 @@ def _columns(rows: Sequence[int]) -> list[int]:
     return [_column(row, k) for k, row in enumerate(rows)]
 
 
-def _labeling_below(rows: Sequence[int], bound: list[int], first: bool) -> list[int] | None:
-    """The one placement search behind canonical labeling.
+def _labeling_below(rows: Sequence[int], bound: Sequence[int]) -> list[int] | None:
+    """The canonicity test that orderly generation runs.
 
     Looks for a labeling of ``rows`` whose graph6 string, column by column,
-    is lexicographically below ``bound`` (``_columns`` of ``rows``).  Returns
-    its placement order (``order[pos]`` is the vertex placed at position
-    ``pos``, the argument ``Graph.relabel`` expects), or None when there is
-    none, that is when ``rows`` is canonical.  With ``first`` it returns at
-    the first smaller labeling it meets; otherwise it returns the least one,
-    lowering ``bound`` to its columns.
+    is lexicographically below ``bound`` (``_columns`` of ``rows``), and
+    returns at the first one it meets: its placement order (``order[pos]``
+    is the vertex placed at position ``pos``, the argument ``Graph.relabel``
+    expects), or None when there is none, that is when ``rows`` is canonical.
 
     The graph6 string is column-major, so placing vertices one position at a
     time fixes it one column at a time.  An unplaced vertex's column is its
@@ -60,26 +58,16 @@ def _labeling_below(rows: Sequence[int], bound: list[int], first: bool) -> list[
     them is an automorphism that fixes everything placed.
     """
     n = len(rows)
-    above_all = 1 << n  # above every column: any placement beats it
     placed: list[int] = []
-    found: list[int] | None = None
 
-    def rec(k: int, cells: list[tuple[int, int]]) -> bool:
-        nonlocal found
+    def rec(k: int, cells: list[tuple[int, int]]) -> list[int] | None:
         if k == n:
-            if found is not None:
-                found = placed[:]
-            return False
+            return None
         ties, low = cells[0]
         if low > bound[k]:
-            return False
+            return None
         if low < bound[k]:
-            if first:
-                found = placed + [v for m, _ in cells for v in range(n) if m >> v & 1]
-                return True
-            bound[k] = low
-            bound[k + 1 :] = [above_all] * (n - k - 1)
-            found = []  # the next leaf reached is the new least labeling
+            return placed + [v for m, _ in cells for v in range(n) if m >> v & 1]
         rest = ties
         while rest:
             bit = rest & -rest
@@ -102,19 +90,13 @@ def _labeling_below(rows: Sequence[int], bound: list[int], first: bool) -> list[
                 if m & row:
                     child.append((m & row, c << 1 | 1))
             placed.append(u)
-            if rec(k + 1, child):
-                return True
+            order = rec(k + 1, child)
+            if order is not None:
+                return order
             placed.pop()
-        return False
+        return None
 
-    rec(0, [((1 << n) - 1, 0)])
-    return found
-
-
-def canonical_relabel(g: Graph) -> Graph:
-    """Isomorph of g whose graph6 encoding is lexicographically minimal."""
-    order = _labeling_below(g.rows, _columns(g.rows), first=False)
-    return g if order is None else g.relabel(order)
+    return rec(0, [((1 << n) - 1, 0)])
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +129,7 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
                 continue
             rows = [r | (mask >> u & 1) << new for u, r in enumerate(parent.rows)]
             rows.append(mask)
-            if _labeling_below(rows, parent_columns + [col], first=True) is None:
+            if _labeling_below(rows, parent_columns + [col]) is None:
                 out.append(Graph._trusted(n, rows))
     return tuple(sorted(out, key=to_graph6))
 

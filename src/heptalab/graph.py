@@ -177,17 +177,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def edge_mask(self) -> int:
-        mask = 0
-        k = 0
-        for j in range(1, self.n):
-            row = self.rows[j]
-            for i in range(j):
-                if (row >> i) & 1:
-                    mask |= 1 << k
-                k += 1
-        return mask
-
     def component_of(self, seed: int, within: int) -> int:
         """Bitmask of the vertices reachable from the vertices of ``seed``
         through the subgraph induced on ``within``; ``seed`` is a bitmask

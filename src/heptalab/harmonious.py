@@ -240,68 +240,58 @@ def minimal_separators(g: Graph, budget: Budget | None = None) -> list[frozenset
     return sorted((frozenset(iter_bits(sep)) for sep in found), key=lambda s: (len(s), sorted(s)))
 
 
-def _grow(
-    rows: tuple[int, ...], base: int, bip: list | None, parts: tuple | None, v: int
-) -> tuple[list | None, tuple | None]:
-    """Both shapes of G[base + v], each or None, from those of G[base].
+def _shape(rows: tuple[int, ...], cut: int) -> list[tuple[int, ...]] | None:
+    """The ``_parity_pass`` classes of G[cut], or None when it is neither
+    bipartite nor complete multipartite.
 
-    ``bip`` lists the two color classes of each component of a bipartite
-    G[base]: the component's least vertex in the first mask, components in
-    order of their least vertex, as ``_parity_pass`` takes its classes.
-    ``parts`` are the parts of a complete multipartite G[base] (the classes
-    of non-adjacency) in order of their least vertex.  Both shapes are
-    hereditary, so a None stays None.  v merges the components it sees,
-    opposite its neighbors, unless it sees both sides of one; it joins the
-    one part it misses, or is a part alone if it misses none."""
-    bit, seen = 1 << v, rows[v] & base
-    if bip is not None:
-        kept, same, opposite = [], bit, 0
-        for pair in bip:
-            if not seen & (pair[0] | pair[1]):
-                kept.append(pair)
-                continue
-            near, far = pair if seen & pair[0] else pair[::-1]
-            if seen & far:
-                bip = None
-                break
-            same, opposite = same | far, opposite | near
-        else:
-            least = (same | opposite) & -(same | opposite)
-            kept.append((same, opposite) if same & least else (opposite, same))
-            bip = sorted(kept, key=lambda pair: pair[0] & -pair[0])
-    if parts is not None:
-        away = base & ~rows[v]
-        if away and away not in parts:
-            parts = None
-        else:
-            grown = [p | bit if p == away else p for p in parts] + ([] if away else [bit])
-            parts = tuple(sorted(grown, key=lambda p: p & -p))
-    return bip, parts
+    A bipartite G[cut] gets the two color classes of each component, the
+    component's least vertex in the first mask; else a complete multipartite
+    one gets its parts (the classes of non-adjacency) as one class.
+    Components and parts come in order of their least vertex."""
+    bip, left = [], cut
+    while left:
+        # color the component of the least vertex left, one BFS layer at a time
+        sides, layer, odd = [0, 0], left & -left, 0
+        while layer:
+            sides[odd] |= layer
+            odd ^= 1
+            reach = 0
+            for u in iter_bits(layer):
+                reach |= rows[u]
+            layer = reach & left & ~(sides[0] | sides[1])
+        if any(rows[u] & side for side in sides for u in iter_bits(side)):
+            break
+        bip.append(tuple(sides))
+        left &= ~(sides[0] | sides[1])
+    else:
+        return bip
+    # non-adjacency is an equivalence when the sets it gives meet only if equal
+    parts, covered = [], 0
+    for v in iter_bits(cut):
+        away = cut & ~rows[v]
+        if away not in parts:
+            if away & covered:
+                return None
+            parts.append(away)
+            covered |= away
+    return [tuple(parts)]
 
 
 def _cutset_pool(
     g: Graph, separators: list[frozenset[int]]
 ) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
     """The shaped minimal separators (as masks) in the given order, each
-    with the ``_parity_pass`` classes of its shape: bipartite when it can
-    be, else its parts as one class.  ``_grow`` builds both shapes of a
-    separator one vertex at a time, and a set with neither is dropped.
+    with its ``_shape`` classes.
 
     No larger set is needed.  A shaped X that disconnects g contains a
     minimal (a, b)-separator S for two vertices a and b that X separates;
     S is shaped too, shape being hereditary, and if no labels suit S, none
     suit X by the lemma above."""
-    rows = g.rows
     for sep in separators:
         cut = mask_of(sep)
-        bip, parts, done = [], (), 0
-        for v in iter_bits(cut):
-            bip, parts = _grow(rows, done, bip, parts, v)
-            if bip is None and parts is None:
-                break
-            done |= 1 << v
-        else:
-            yield cut, [parts] if bip is None else bip
+        classes = _shape(g.rows, cut)
+        if classes is not None:
+            yield cut, classes
 
 
 def find_harmonious_cutset(g: Graph, budget: Budget | None = None) -> CutsetSearchResult:

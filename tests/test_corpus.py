@@ -1,4 +1,3 @@
-import random
 from collections import defaultdict
 
 import networkx as nx
@@ -10,7 +9,6 @@ from heptalab.corpus import (
     _columns,
     _labeling_below,
     all_graphs_up_to,
-    canonical_relabel,
     nonisomorphic_graphs,
     random_graphs,
 )
@@ -41,7 +39,7 @@ class TestEnumeration:
         keys = [to_graph6(g).decode() for g in graphs]
         assert keys == sorted(keys)
         for g in graphs:
-            assert canonical_relabel(g) == g
+            assert canonical_by_placement(g) == g
 
     def test_pairwise_nonisomorphic_n5(self):
         graphs = nonisomorphic_graphs(5)
@@ -63,13 +61,12 @@ def assert_canonicity_test(h):
     """The early-exit canonicity test that orderly generation runs accepts
     h exactly when h is its own canonical form, and otherwise returns a
     labeling with a strictly smaller graph6 string."""
-    canon = canonical_relabel(h)
-    assert canon == canonical_by_placement(h)
-    order = _labeling_below(h.rows, _columns(h.rows), first=True)
+    canon = canonical_by_placement(h)
+    order = _labeling_below(h.rows, _columns(h.rows))
     assert (order is None) == (canon == h)
     if order is not None:
         assert to_graph6(h.relabel(order)) < to_graph6(h)
-    assert _labeling_below(canon.rows, _columns(canon.rows), first=True) is None
+    assert _labeling_below(canon.rows, _columns(canon.rows)) is None
 
 
 class TestOrderlyGeneration:
@@ -101,32 +98,6 @@ class TestOrderlyGeneration:
     def test_canonicity_on_relabeled_graphs(self, case):
         n, edge_mask, perm = case
         assert_canonicity_test(Graph.from_edge_mask(n, edge_mask).relabel(perm))
-
-
-class TestCanonicalRelabel:
-    def test_invariant_under_relabeling(self):
-        rng = random.Random(99)
-        for g in random_graphs(60, [5, 6, 7, 8], seed=4):
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            assert canonical_relabel(g.relabel(perm)) == canonical_relabel(g)
-
-    def test_result_is_isomorphic(self):
-        for g in random_graphs(30, [6, 7], seed=11):
-            c = canonical_relabel(g)
-            assert isomorphic(g, c)
-
-    def test_distinct_graphs_distinct_forms(self):
-        # relabelings of C6 and of P6 must land on different canonical forms
-        rng = random.Random(3)
-        c6, p6 = Graph.cycle(6), Graph.path(6)
-        perm = list(range(6))
-        rng.shuffle(perm)
-        assert canonical_relabel(c6.relabel(perm)) != canonical_relabel(p6)
-
-    def test_trivial_graphs(self):
-        assert canonical_relabel(Graph.empty(0)) == Graph.empty(0)
-        assert canonical_relabel(Graph.complete(4)) == Graph.complete(4)
 
 
 class TestRandomGraphs:

@@ -324,6 +324,13 @@ class TestHitStaleness:
     def test_wrong_vertex_count(self):
         assert not verify_hit(Graph.cycle(5), PatternHit("odd_hole", (0, 1, 2, 3, 3), 5))
 
+    def test_antihole_hit_must_not_carry_another_length(self):
+        g = c7_complement()
+        for length in (None, 7):
+            assert verify_hit(g, PatternHit("c7_complement", tuple(range(7)), length))
+        for length in (99, 5, 0):
+            assert not verify_hit(g, PatternHit("c7_complement", tuple(range(7)), length))
+
     def test_vertex_outside_the_graph_is_false_for_every_kind(self):
         cases = [
             (Graph.cycle(5), "odd_hole", (0, 1, 2, 3), 5),
@@ -332,5 +339,8 @@ class TestHitStaleness:
         ]
         for g, kind, kept, length in cases:
             assert verify_hit(g, PatternHit(kind, kept + (g.n - 1,), length))
-            for stray in (9, g.n, -1):
+            for stray in (9, g.n, -1, float(g.n - 1)):
                 assert not verify_hit(g, PatternHit(kind, kept + (stray,), length)), (kind, stray)
+            # True equals vertex 1 but is no vertex
+            as_bool = (0, True) + kept[2:] + (g.n - 1,)
+            assert not verify_hit(g, PatternHit(kind, as_bool, length)), kind

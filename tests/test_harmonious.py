@@ -247,6 +247,31 @@ class TestPool:
             assert [cut for cut, _ in got] == shaped, to_graph6(g)
             assert got == list(islice(cutset_pool_from_scratch(g, separators), len(shaped)))
 
+    def test_shape_matches_the_from_scratch_classes(self):
+        # every nonempty vertex set of every graph with at most 6 vertices,
+        # then random vertex sets of random graphs with 8 to 14 vertices
+        cases = []
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() <= 6:
+                g = from_networkx(h)
+                cases += [(g.rows, cut) for cut in range(1, 1 << g.n)]
+        rng = random.Random(19)
+        for _ in range(300):
+            n, p = rng.randint(8, 14), rng.choice((0.2, 0.3, 0.5, 0.7))
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            cases += [(g.rows, rng.randrange(1, 1 << n)) for _ in range(20)]
+        shapes = {"bipartite": 0, "multipartite": 0, "none": 0}
+        for rows, cut in cases:
+            got = harmonious._shape(rows, cut)
+            assert got == shape_classes(rows, cut), (rows, cut)
+            if got is None:
+                shapes["none"] += 1
+            else:
+                shapes["bipartite" if len(got[0]) == 2 else "multipartite"] += 1
+        assert min(shapes.values()) > 1000, shapes
+
     def test_shaped_separators_come_first(self):
         # the full pool starts with the nine separators of the 6-cycle and
         # goes on to larger sets; the package pool stops after the nine
