@@ -18,6 +18,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
@@ -33,9 +34,11 @@ from .detect import (
     has_c7_complement,
 )
 from .graph import Graph, Graph6Error, from_graph6, to_graph6
-from .harmonious import find_harmonious_cutset
+from .harmonious import CutsetSearchResult, find_harmonious_cutset
 from .structures import (
     GenerationError,
+    HeptagramTypeWitness,
+    T11Witness,
     _crowded_window,
     generate_heptagram_type,
     generate_t11_type,
@@ -87,47 +90,102 @@ def _ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
 
 
 # ---------------------------------------------------------------------------
-# per-graph analysis
+# per-graph facts
 # ---------------------------------------------------------------------------
 
 
-def class_facts(g: Graph, budget: int, *, stop_early: bool) -> tuple[dict, list[str]]:
-    """The class facts of one graph and notes on the ones left undecided.
+class _fact:
+    """A ``GraphFacts`` fact: computed on first read, then kept in the instance dict."""
 
-    The facts are ``odd_hole_free`` and ``chi``, each None when its search
-    runs out of its ``budget`` steps, ``full_house_free``, ``omega`` and
-    ``has_c7_complement``.  With ``stop_early`` the work stops once the
-    graph is not known to be odd-hole-free: every theorem assumes that
-    hypothesis, so nothing further is consumed.
+    def __init__(self, compute: Callable) -> None:
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, facts, owner=None):
+        if facts is None:
+            return self
+        value = facts.__dict__[self.name] = self.compute(facts)
+        return value
+
+
+class GraphFacts:
+    """The facts of one graph, each computed on its first read, so a reader
+    pays only for what it reads.  Each search gets its own ``Budget(budget)``;
+    one that runs out leaves its fact None and appends a note to ``notes``.
+
+    ``omega`` and ``chi`` come from one exact chi search (``omega`` from
+    ``clique_number`` when it runs out).  ``cutset`` is the harmonious-cutset
+    search result, None on a disconnected graph or one with fewer than three
+    vertices.  ``t11_type`` and ``heptagram_type`` are witnesses, or False
+    when there is none; the latter is searched only with the antihole.
     """
-    notes: list[str] = []
-    try:
-        odd_hole_free = find_odd_hole(g, Budget(budget)) is None
-    except SearchBudgetExceeded:
-        odd_hole_free = None
-        notes.append("odd hole search hit its budget")
-    facts: dict = {"odd_hole_free": odd_hole_free}
-    if stop_early and not odd_hole_free:
-        return facts, notes
-    facts["full_house_free"] = find_full_house(g) is None
-    try:
-        res = chromatic_number_exact(g, Budget(budget))
-        facts["omega"], facts["chi"] = len(res.clique), res.chi
-    except SearchBudgetExceeded:
-        facts["omega"], facts["chi"] = clique_number(g)[0], None
-        notes.append("chromatic number search hit its budget")
-    facts["has_c7_complement"] = has_c7_complement(g)
-    return facts, notes
+
+    def __init__(self, g: Graph, budget: int) -> None:
+        self.g, self.budget, self.notes = g, budget, []
+
+    @_fact
+    def odd_hole_free(self) -> bool | None:
+        try:
+            return find_odd_hole(self.g, Budget(self.budget)) is None
+        except SearchBudgetExceeded:
+            self.notes.append("odd hole search hit its budget")
+            return None
+
+    @_fact
+    def full_house_free(self) -> bool:
+        return find_full_house(self.g) is None
+
+    @_fact
+    def omega_chi(self) -> tuple[int, int | None]:
+        try:
+            res = chromatic_number_exact(self.g, Budget(self.budget))
+            return len(res.clique), res.chi
+        except SearchBudgetExceeded:
+            self.notes.append("chromatic number search hit its budget")
+            return clique_number(self.g)[0], None
+
+    @property
+    def omega(self) -> int:
+        return self.omega_chi[0]
+
+    @property
+    def chi(self) -> int | None:
+        return self.omega_chi[1]
+
+    @_fact
+    def has_c7_complement(self) -> bool:
+        return has_c7_complement(self.g)
+
+    @_fact
+    def connected(self) -> bool:
+        return self.g.is_connected()
+
+    @_fact
+    def cutset(self) -> CutsetSearchResult | None:
+        if self.connected and self.g.n >= 3:
+            return find_harmonious_cutset(self.g, Budget(self.budget))
+        return None
+
+    @_fact
+    def t11_type(self) -> T11Witness | bool:
+        return recognize_t11_type(self.g) or False
+
+    @_fact
+    def heptagram_type(self) -> HeptagramTypeWitness | bool | None:
+        if not self.has_c7_complement:
+            return False
+        try:
+            return recognize_heptagram_type(self.g, Budget(self.budget)) or False
+        except SearchBudgetExceeded:
+            self.notes.append("heptagram-type search hit its budget")
+            return None
 
 
-def analyze_graph(
-    g: Graph, *, structures: bool = False, with_timings: bool = True
-) -> dict:
+def analyze_graph(g: Graph, *, structures: bool = False, with_timings: bool = True) -> dict:
     """Full per-graph report: class flags, clique and chromatic numbers, and
     (on request, for class members) structure witnesses.  Each search may
     take DEFAULT_BUDGET steps."""
     t0 = time.perf_counter()
-    facts, notes = class_facts(g, DEFAULT_BUDGET, stop_early=False)
+    facts = GraphFacts(g, DEFAULT_BUDGET)
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -135,38 +193,25 @@ def analyze_graph(
         "n": g.n,
         "m": g.edge_count,
         "flags": {
-            "odd_hole_free": facts["odd_hole_free"],
-            "full_house_free": facts["full_house_free"],
-            "k4_free": facts["omega"] < 4,
-            "has_c7_complement": facts["has_c7_complement"],
+            "odd_hole_free": facts.odd_hole_free,
+            "full_house_free": facts.full_house_free,
+            "k4_free": facts.omega < 4,
+            "has_c7_complement": facts.has_c7_complement,
         },
-        "omega": facts["omega"],
-        "chi": facts["chi"],
+        "omega": facts.omega,
+        "chi": facts.chi,
         "seed": None,
         "structures": None,
-        "notes": notes,
+        "notes": facts.notes,
     }
-    if structures and facts["odd_hole_free"] and facts["full_house_free"]:
-        found: dict = {}
-        if g.is_connected() and g.n >= 3:
-            res = find_harmonious_cutset(g, Budget(DEFAULT_BUDGET))
-            found["harmonious_status"] = res.status
-            found["harmonious"] = (
-                res.partition.to_json_dict() if res.partition else None
-            )
-        else:
-            found["harmonious_status"] = "skipped"
-            found["harmonious"] = None
-        t11 = recognize_t11_type(g)
-        hepta = None  # the recognizer's answer, too, without the antihole
-        if facts["has_c7_complement"]:
-            try:
-                hepta = recognize_heptagram_type(g, Budget(DEFAULT_BUDGET))
-            except SearchBudgetExceeded:
-                notes.append("heptagram-type search hit its budget")
-        found["t11_type"] = t11.to_json_dict() if t11 else None
-        found["heptagram_type"] = hepta.to_json_dict() if hepta else None
-        report["structures"] = found
+    if structures and facts.odd_hole_free and facts.full_house_free:
+        res, t11, hepta = facts.cutset, facts.t11_type, facts.heptagram_type
+        report["structures"] = {
+            "harmonious_status": res.status if res else "skipped",
+            "harmonious": res.partition.to_json_dict() if res and res.partition else None,
+            "t11_type": t11.to_json_dict() if t11 else None,
+            "heptagram_type": hepta.to_json_dict() if hepta else None,
+        }
     if with_timings:
         report["timings"] = {"total_ms": round((time.perf_counter() - t0) * 1e3, 3)}
     return report
@@ -177,124 +222,73 @@ def analyze_graph(
 # ---------------------------------------------------------------------------
 
 
-def class_record(g: Graph, budget: int = DEFAULT_BUDGET) -> dict:
-    """The per-graph facts the theorem checks consume.  Work stops at the
-    first disqualifier: a graph with an odd hole is outside every
-    hypothesis, so nothing further is computed for it, and one whose odd-hole
-    search ran out of budget is inconclusive under every theorem."""
-    facts, _ = class_facts(g, budget, stop_early=True)
-    return {
-        "graph6": to_graph6(g).decode("ascii"),
-        "n": g.n,
-        "connected": g.is_connected(),
-        **facts,
-    }
-
-
-def _theorem_record(g: Graph, theorem: str, budget: int) -> dict:
-    """``class_record`` plus, under t2.3, the graph's ``dichotomy_outcome``
-    as ``"dichotomy"``: the per-graph work ``evaluate_theorem`` hands to
-    its workers."""
-    rec = class_record(g, budget)
-    if theorem == "t2.3":
-        rec["dichotomy"] = dichotomy_outcome(g, rec, budget)
-    return rec
-
-
-def record_outcome(rec: dict, theorem: str) -> str:
-    """Outcome of one record under one theorem: "filtered" (hypothesis not
-    met), "pass", "violation", or "inconclusive".  Under t2.3 it is the
-    record's ``"dichotomy"`` entry, which ``_theorem_record`` computes."""
-    if theorem == "t2.3":
-        return rec["dichotomy"]
-    if rec["odd_hole_free"] is None:
-        return "inconclusive"
-    if not rec["odd_hole_free"]:
+def theorem_outcome(facts: GraphFacts, theorem: str) -> str:
+    """Outcome of one graph under one theorem: "filtered" (hypothesis not
+    met), "pass", "violation", or "inconclusive", reading only the facts the
+    hypothesis and then the conclusion need.  Under the dichotomy (t2.3),
+    connected class members with the 7-vertex antihole and no harmonious
+    cutset must be recognized as one of the two structured classes; the
+    searches are exact, so an exhausted budget alone is inconclusive.
+    """
+    if theorem == "t2.3" and not facts.connected:
         return "filtered"
-    omega, chi = rec["omega"], rec["chi"]
+    if facts.odd_hole_free is None:
+        return "inconclusive"
+    if not facts.odd_hole_free:
+        return "filtered"
     if theorem == "t1.3":
-        if omega >= 4:
+        if facts.omega >= 4:
             return "filtered"
-        if chi is None:
-            return "inconclusive"
-        return "pass" if chi <= 4 else "violation"
-    if not rec["full_house_free"]:
+    elif not facts.full_house_free:
         return "filtered"
-    if theorem == "t1.4-bound":
-        if chi is None:
-            return "inconclusive"
-        return "pass" if chi <= omega + 1 else "violation"
-    if theorem == "t1.4-eq":
-        if chi is None:
-            return "inconclusive"
-        equality = chi == omega + 1
-        characterized = omega == 3 and rec["has_c7_complement"]
-        return "pass" if equality == characterized else "violation"
-    if theorem == "perfection":
-        if rec["has_c7_complement"]:
+    if theorem == "t2.3":
+        if not facts.has_c7_complement or facts.cutset.status == "found":
             return "filtered"
-        if chi is None:
+        if facts.cutset.status == "inconclusive":
             return "inconclusive"
-        return "pass" if chi == omega else "violation"
-    raise ValueError(f"unknown theorem {theorem!r}")
-
-
-def dichotomy_outcome(g: Graph, rec: dict, budget: int) -> str:
-    """Outcome under the structural dichotomy: connected class members with
-    the 7-vertex antihole and no harmonious cutset must be recognized as one
-    of the two structured classes.  The cutset search and the
-    heptagram-type recognizer are exact, each within ``budget`` steps, and
-    the T11-type recognizer is exact outright: a graph that neither
-    recognizer accepts is a violation, and an exhausted budget makes the
-    outcome inconclusive."""
-    if not rec["connected"]:
+        witness = facts.t11_type or facts.heptagram_type
+        if witness is None:
+            return "inconclusive"
+        return "pass" if witness else "violation"
+    if theorem == "perfection" and facts.has_c7_complement:
         return "filtered"
-    if rec["odd_hole_free"] is None:
+    chi = facts.chi
+    if chi is None:
         return "inconclusive"
-    if not rec["odd_hole_free"]:
-        return "filtered"
-    if not rec.get("full_house_free") or not rec.get("has_c7_complement"):
-        return "filtered"
-    res = find_harmonious_cutset(g, Budget(budget))
-    if res.status == "found":
-        return "filtered"
-    if res.status == "inconclusive":
-        return "inconclusive"
-    if recognize_t11_type(g) is not None:
-        return "pass"
-    try:
-        return "violation" if recognize_heptagram_type(g, Budget(budget)) is None else "pass"
-    except SearchBudgetExceeded:
-        return "inconclusive"
+    omega = facts.omega
+    if theorem == "t1.3":
+        holds = chi <= 4
+    elif theorem == "t1.4-bound":
+        holds = chi <= omega + 1
+    elif theorem == "t1.4-eq":
+        holds = (chi == omega + 1) == (omega == 3 and facts.has_c7_complement)
+    elif theorem == "perfection":
+        holds = chi == omega
+    else:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    return "pass" if holds else "violation"
 
 
-def verdict_from_records(
-    records: Sequence[dict],
-    theorem: str,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    seed: int | None = None,
+def _graph_outcome(g: Graph, theorem: str, budget: int) -> tuple[str, str | None]:
+    """The per-graph work of ``evaluate_theorem``: the outcome, and for a
+    violation the graph6 string."""
+    outcome = theorem_outcome(GraphFacts(g, budget), theorem)
+    return outcome, to_graph6(g).decode("ascii") if outcome == "violation" else None
+
+
+def verdict_from_outcomes(
+    outcomes: Sequence[tuple[str, str | None]], theorem: str, *, budget: int, seed: int | None
 ) -> dict:
-    population = 0
-    violations: list[str] = []
-    inconclusive = 0
-    for rec in records:
-        outcome = record_outcome(rec, theorem)
-        if outcome == "filtered":
-            continue
-        population += 1
-        if outcome == "violation":
-            violations.append(rec["graph6"])
-        elif outcome == "inconclusive":
-            inconclusive += 1
+    """The verdict over a corpus's ``(outcome, graph6 of a violation)`` pairs."""
+    counts = Counter(outcome for outcome, _ in outcomes)
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "theorem": THEOREM_IDS[theorem],
-        "total": len(records),
-        "population": population,
-        "violations": violations,
-        "inconclusive": inconclusive,
+        "total": len(outcomes),
+        "population": len(outcomes) - counts["filtered"],
+        "violations": [g6 for outcome, g6 in outcomes if outcome == "violation"],
+        "inconclusive": counts["inconclusive"],
         "budget": budget,
         "seed": seed,
     }
@@ -310,9 +304,9 @@ def evaluate_theorem(
 ) -> dict:
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem {theorem!r}")
-    record = functools.partial(_theorem_record, theorem=theorem, budget=budget)
-    records = list(_ordered_map(record, graphs, workers))
-    return verdict_from_records(records, theorem, budget=budget, seed=seed)
+    outcome = functools.partial(_graph_outcome, theorem=theorem, budget=budget)
+    outcomes = list(_ordered_map(outcome, graphs, workers))
+    return verdict_from_outcomes(outcomes, theorem, budget=budget, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +603,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 3
+    if vars(args).get("budget", 0) < 0:
+        print(f"--budget must be at least 0, got {args.budget}", file=sys.stderr)
+        return 3
     return args.func(args)
 
 

@@ -169,11 +169,12 @@ def _is_hole(g: Graph, cycle: int) -> bool:
 def verify_hit(g: Graph, hit: PatternHit) -> bool:
     """Re-check a reported hit against ``g`` from scratch, without a search.
 
-    The vertices must be distinct vertices of ``g``, each an ``int`` and not
-    a ``bool``, or the answer is False.  An odd hole is ``length`` vertices,
-    odd and at least 5, inducing a connected 2-regular subgraph, so it is
-    checked at any length.  A 7-antihole is seven vertices, with ``length``
-    None or 7, inducing such a subgraph in the complement.
+    The vertices must be distinct vertices of ``g`` (``Graph.has_vertex``),
+    or the answer is False, and ``length`` must be a plain ``int`` too.  An
+    odd hole is ``length`` vertices, odd and at least 5, inducing a connected
+    2-regular subgraph, so it is checked at any length.  A 7-antihole is
+    seven vertices, with ``length`` None or 7, inducing such a subgraph in
+    the complement.
     A full house is five vertices with exactly two non-adjacent pairs, and
     the pairs share a vertex: its complement is a path on three vertices
     plus two isolated ones, so the non-neighbors inside have counts 2, 1, 1,
@@ -181,21 +182,22 @@ def verify_hit(g: Graph, hit: PatternHit) -> bool:
     """
     if hit.kind not in ("odd_hole", "c7_complement", "full_house"):
         raise ValueError(f"no check for hit kind {hit.kind!r}")
-    vs = hit.vertices
-    vertices = all(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < g.n for v in vs)
-    if not vertices or len(set(vs)) != len(vs):
+    vs, length = hit.vertices, hit.length
+    if not all(map(g.has_vertex, vs)) or len(set(vs)) != len(vs):
+        return False
+    if length is not None and type(length) is not int:
         return False
     inside = mask_of(vs)
     if hit.kind == "odd_hole":
         return (
-            hit.length is not None
-            and hit.length % 2 == 1
-            and hit.length >= 5
-            and len(vs) == hit.length
+            length is not None
+            and length % 2 == 1
+            and length >= 5
+            and len(vs) == length
             and _is_hole(g, inside)
         )
     if hit.kind == "c7_complement":
-        return hit.length in (None, 7) and len(vs) == 7 and _is_hole(g.complement(), inside)
+        return length in (None, 7) and len(vs) == 7 and _is_hole(g.complement(), inside)
     strangers = sorted((inside & ~g.rows[v]).bit_count() - 1 for v in vs)
     return strangers == [0, 0, 1, 1, 2]
 

@@ -163,6 +163,10 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
+    def has_vertex(self, v: object) -> bool:
+        """True when ``v`` is a plain ``int`` (not a ``bool``) in ``0..n-1``."""
+        return type(v) is int and 0 <= v < self.n
+
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):

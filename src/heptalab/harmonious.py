@@ -106,6 +106,9 @@ class HarmonyVerdict:
 
 def _check_shape(g: Graph, p: HarmoniousPartition) -> None:
     covered = set(p.cutset) | set(p.sides[0]) | set(p.sides[1])
+    for v in covered:
+        if not g.has_vertex(v):
+            raise ValueError(f"vertex {v!r} out of range")
     if covered != set(range(g.n)):
         raise ValueError("partition does not cover the vertex set exactly")
 

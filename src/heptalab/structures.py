@@ -222,8 +222,8 @@ _CHECKS = {
 def _check_sets(g: Graph, parts: Iterable[frozenset[int]]) -> None:
     for part in parts:
         for v in part:
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} out of range")
+            if not g.has_vertex(v):
+                raise ValueError(f"vertex {v!r} out of range")
 
 
 def _preamble_failure(g: Graph, masks: list[int], ring_parts: int) -> StructureVerdict | None:
@@ -629,7 +629,6 @@ def generate_heptagram_type(
     y_sizes: Iterable[int] | None = None,
     profile: str = "all_complete",
     rng: random.Random | None = None,
-    stats_out: dict | None = None,
 ) -> tuple[Graph, HeptagramTypeWitness]:
     """Build a full-class instance with the given ring and outer sizes.
 
@@ -637,8 +636,7 @@ def generate_heptagram_type(
     every outer vertex complete to its three attachment parts, which meets
     all ten rules by construction.  The "custom" profile samples sparser
     linkages and partial attachment neighborhoods at random and keeps the
-    first draw that verifies; the attempt count lands in ``stats_out`` and
-    feasibility is not guaranteed.
+    first draw that verifies; feasibility is not guaranteed.
     """
     w_sizes = tuple(w_sizes)
     y_sizes = tuple(y_sizes) if y_sizes is not None else (0,) * 7
@@ -659,8 +657,6 @@ def generate_heptagram_type(
         tuple(frozenset(p) for p in parts[:7]), tuple(frozenset(p) for p in parts[7:])
     )
     if profile == "all_complete":
-        if stats_out is not None:
-            stats_out["attempts"] = 1
         return base, w
 
     rng = rng if rng is not None else random.Random(0)
@@ -671,7 +667,7 @@ def generate_heptagram_type(
         for i in range(7)
     ]
     last_rule = None
-    for attempt in range(1, _CUSTOM_ATTEMPTS + 1):
+    for _ in range(_CUSTOM_ATTEMPTS):
         edges = base.edges()
         for i, j in _LINKED:
             chosen = set()
@@ -700,12 +696,8 @@ def generate_heptagram_type(
         g = Graph.from_edges(base.n, edges)
         verdict = verify_heptagram_type(g, w)
         if verdict.ok:
-            if stats_out is not None:
-                stats_out["attempts"] = attempt
             return g, w
         last_rule = verdict.rule
-    if stats_out is not None:
-        stats_out["attempts"] = _CUSTOM_ATTEMPTS
     raise GenerationError(
         f"no verifying instance after {_CUSTOM_ATTEMPTS} draws "
         f"(last violated rule: {last_rule})",

@@ -20,10 +20,16 @@ import time
 
 import pytest
 
-from heptalab.cli import _random_outer_sizes, class_record, verdict_from_records
+from heptalab.cli import (
+    GraphFacts,
+    _random_outer_sizes,
+    theorem_outcome,
+    verdict_from_outcomes,
+)
 from heptalab.coloring import chromatic_number_exact, is_proper
 from heptalab.corpus import all_graphs_up_to, random_graphs
 from heptalab.detect import (
+    DEFAULT_BUDGET,
     c7_complement,
     clique_number,
     find_full_house,
@@ -74,12 +80,12 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def corpus7_records():
-    return [class_record(g) for g in all_graphs_up_to(7)]
+    return [GraphFacts(g, DEFAULT_BUDGET) for g in all_graphs_up_to(7)]
 
 
 def _random_sample_records():
     graphs = random_graphs(RANDOM_SAMPLE_COUNT, RANDOM_SAMPLE_SIZES, seed=SEED)
-    return [class_record(g) for g in graphs]
+    return [GraphFacts(g, DEFAULT_BUDGET) for g in graphs]
 
 
 @pytest.fixture(scope="session")
@@ -90,7 +96,8 @@ def random_records():
 
 
 def _bound_verdict_json(records) -> str:
-    verdict = verdict_from_records(records, "t1.4-bound", seed=SEED)
+    outcomes = [(theorem_outcome(rec, "t1.4-bound"), graph6(rec)) for rec in records]
+    verdict = verdict_from_outcomes(outcomes, "t1.4-bound", budget=DEFAULT_BUDGET, seed=SEED)
     return json.dumps(verdict, sort_keys=True)
 
 
@@ -142,8 +149,12 @@ def structures200():
     return t11, hepta, transcript, time.perf_counter() - t0
 
 
-def class_member(rec: dict) -> bool:
-    return bool(rec["odd_hole_free"] and rec.get("full_house_free"))
+def class_member(rec: GraphFacts) -> bool:
+    return bool(rec.odd_hole_free and rec.full_house_free)
+
+
+def graph6(rec: GraphFacts) -> str:
+    return to_graph6(rec.g).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +187,8 @@ def test_criterion_02_bound_exhaustive_and_random(corpus7_records, random_record
         if not class_member(rec):
             continue
         population += 1
-        if rec["chi"] > rec["omega"] + 1:
-            violations.append(rec["graph6"])
+        if rec.chi > rec.omega + 1:
+            violations.append(graph6(rec))
     elapsed = sample_elapsed + (time.perf_counter() - t0)
     ok = not violations and elapsed < 1800.0
     report(
@@ -197,11 +208,11 @@ def test_criterion_03_equality_characterization(corpus7_records, random_records)
         if not class_member(rec):
             continue
         checked += 1
-        omega, chi, antihole = rec["omega"], rec["chi"], rec["has_c7_complement"]
+        omega, chi, antihole = rec.omega, rec.chi, rec.has_c7_complement
         if (chi == omega + 1) != (omega == 3 and antihole):
-            violations.append(("equality", rec["graph6"]))
+            violations.append(("equality", graph6(rec)))
         if not antihole and chi != omega:
-            violations.append(("perfection", rec["graph6"]))
+            violations.append(("perfection", graph6(rec)))
     report(
         3,
         not violations,
@@ -215,11 +226,11 @@ def test_criterion_04_k4_free_four_colorable(corpus7_records, random_records):
     violations = []
     checked = 0
     for rec in corpus7_records + records:
-        if not rec["odd_hole_free"] or rec["omega"] > 3:
+        if not rec.odd_hole_free or rec.omega > 3:
             continue
         checked += 1
-        if rec["chi"] > 4:
-            violations.append(rec["graph6"])
+        if rec.chi > 4:
+            violations.append(graph6(rec))
     report(
         4,
         not violations,

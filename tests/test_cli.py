@@ -9,9 +9,9 @@ import pytest
 
 import heptalab
 from heptalab import cli, structures
-from heptalab.cli import analyze_graph, class_record, main
+from heptalab.cli import GraphFacts, analyze_graph, main, theorem_outcome
 from heptalab.corpus import MAX_ENUMERATION_N, all_graphs_up_to
-from heptalab.detect import Budget, c7_complement
+from heptalab.detect import DEFAULT_BUDGET, Budget, c7_complement
 from heptalab.graph import Graph, from_graph6, to_graph6
 from heptalab.harmonious import HarmoniousPartition, verify_harmonious
 from heptalab.structures import generate_t11_type
@@ -272,18 +272,31 @@ class TestAnalyze:
 class TestOnePipeline:
     def test_analyze_and_verify_agree(self):
         # every graph on at most 6 vertices: the analyze report states the
-        # same facts as the verify record, wherever the record has them
+        # same facts that each theorem check reads, wherever it reads them
         for g in all_graphs_up_to(6):
             report = analyze_graph(g, with_timings=False)
-            rec = class_record(g)
-            assert report["graph6"] == rec["graph6"] and report["n"] == rec["n"]
-            facts = dict(report["flags"], omega=report["omega"], chi=report["chi"])
-            del facts["k4_free"]
-            if rec["odd_hole_free"]:
-                assert set(rec) == set(facts) | {"graph6", "n", "connected"}
-            for key, value in facts.items():
-                if key in rec:
-                    assert rec[key] == value, (rec["graph6"], key)
+            reported = dict(report["flags"], omega=report["omega"], chi=report["chi"])
+            del reported["k4_free"]
+            assert report["graph6"] == to_graph6(g).decode() and report["n"] == g.n
+            read_by_any = set()
+            for theorem in cli.THEOREM_IDS:
+                facts = GraphFacts(g, DEFAULT_BUDGET)
+                theorem_outcome(facts, theorem)
+                read = {key: getattr(facts, key) for key in reported if key in vars(facts)}
+                if "omega_chi" in vars(facts):
+                    read.update(omega=facts.omega, chi=facts.chi)
+                for key, value in read.items():
+                    assert reported[key] == value, (report["graph6"], theorem, key)
+                read_by_any |= set(read)
+            # the theorems together read every class fact of an odd-hole-free
+            # graph, the antihole only once it is full-house-free, and nothing
+            # past the odd-hole search otherwise
+            expected = {"odd_hole_free"}
+            if reported["odd_hole_free"]:
+                expected |= {"full_house_free", "omega", "chi"}
+                if reported["full_house_free"]:
+                    expected.add("has_c7_complement")
+            assert read_by_any == expected, report["graph6"]
 
     def test_chi_at_every_order(self):
         # no size cap: exact chi on 41 vertices, and on a 55-vertex glued
@@ -357,15 +370,45 @@ class TestOnePipeline:
         # an exhausted recognizer budget is a note and "inconclusive"; an
         # exact None is a violation at any order (this graph has 17 vertices)
         g = from_graph6(RECOGNIZER_MISSES[0])
-        rec = class_record(g)
         real = cli.recognize_heptagram_type
         monkeypatch.setattr(cli, "recognize_heptagram_type", lambda h, budget: real(h, Budget(10)))
         report = analyze_graph(g, structures=True, with_timings=False)
         assert report["structures"]["heptagram_type"] is None
         assert report["notes"] == ["heptagram-type search hit its budget"]
-        assert cli.dichotomy_outcome(g, rec, 10**6) == "inconclusive"
+        assert theorem_outcome(GraphFacts(g, 10**6), "t2.3") == "inconclusive"
         monkeypatch.setattr(cli, "recognize_heptagram_type", lambda h, budget: None)
-        assert cli.dichotomy_outcome(g, rec, 10**6) == "violation"
+        assert theorem_outcome(GraphFacts(g, 10**6), "t2.3") == "violation"
+
+    @pytest.mark.parametrize("theorem,search,needed_by", [
+        ("t1.4-bound", "has_c7_complement", "perfection"),
+        ("t2.3", "chromatic_number_exact", "t1.4-bound"),
+    ])
+    def test_each_theorem_runs_only_the_searches_it_reads(
+        self, capsys, monkeypatch, theorem, search, needed_by
+    ):
+        # the bound needs no antihole search and the dichotomy no chi search;
+        # another theorem over the same corpus does run that search
+        calls = []
+        real = getattr(cli, search)
+        monkeypatch.setattr(cli, search, lambda *args: calls.append(args) or real(*args))
+        verdicts = {}
+        for name in (theorem, needed_by):
+            calls.clear()
+            code, out, _ = run_cli(
+                capsys, ["verify", "--theorem", name, "--enumerate", "7", "--no-timings"]
+            )
+            (verdicts[name],) = json_lines(out)
+            assert code == 0 and verdicts[name]["population"] > 0
+            assert bool(calls) == (name == needed_by), (name, len(calls))
+
+    def test_facts_are_computed_once_on_first_read(self, monkeypatch):
+        calls = []
+        real = cli.find_odd_hole
+        monkeypatch.setattr(cli, "find_odd_hole", lambda *args: calls.append(1) or real(*args))
+        facts = GraphFacts(Graph.cycle(5), DEFAULT_BUDGET)
+        assert calls == [] and vars(facts).keys() == {"g", "budget", "notes"}
+        assert facts.odd_hole_free is False and facts.odd_hole_free is False
+        assert calls == [1] and facts.notes == []
 
 
 class TestVerify:
@@ -450,6 +493,15 @@ class TestVerify:
         assert code == 2
         (v,) = json_lines(out)
         assert v["inconclusive"] == 1 and v["violations"] == []
+
+    def test_negative_budget_rejected(self, capsys):
+        args = ["verify", "--theorem", "t1.3", "--enumerate", "5"]
+        code, out, err = run_cli(capsys, args + ["--budget", "-5"])
+        assert code == 3 and out == "" and "--budget must be at least 0, got -5" in err
+        # zero is a budget: searches that need a step are inconclusive
+        code, out, _ = run_cli(capsys, args + ["--budget", "0", "--no-timings"])
+        (v,) = json_lines(out)
+        assert code == 2 and v["budget"] == 0 and v["inconclusive"] > 0
 
     def test_missing_input(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "--theorem", "t1.3"])
@@ -620,6 +672,12 @@ class TestDecompose:
         assert code == 2
         (rec,) = json_lines(out)
         assert rec["status"] == "inconclusive"
+
+    def test_negative_budget_rejected(self, capsys, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_text(P4_G6 + "\n")
+        code, out, err = run_cli(capsys, ["decompose", str(path), "--budget", "-1"])
+        assert code == 3 and out == "" and "--budget must be at least 0, got -1" in err
 
     def test_non_ascii_byte_in_file(self, capsys, tmp_path):
         path = tmp_path / "in.g6"

@@ -328,8 +328,14 @@ class TestHitStaleness:
         g = c7_complement()
         for length in (None, 7):
             assert verify_hit(g, PatternHit("c7_complement", tuple(range(7)), length))
-        for length in (99, 5, 0):
+        for length in (99, 5, 0, 7.0, True):
             assert not verify_hit(g, PatternHit("c7_complement", tuple(range(7)), length))
+
+    def test_hole_length_must_be_a_plain_int(self):
+        g = Graph.cycle(5)
+        assert verify_hit(g, PatternHit("odd_hole", tuple(range(5)), 5))
+        for length in (5.0, 7.0, True, None):
+            assert not verify_hit(g, PatternHit("odd_hole", tuple(range(5)), length)), length
 
     def test_vertex_outside_the_graph_is_false_for_every_kind(self):
         cases = [

@@ -29,7 +29,8 @@ def test_every_public_import_is_exported():
 
 SOURCES = sorted(Path(heptalab.__file__).parent.glob("*.py"))
 # names that left the package: test oracles that moved to tests/lemmas.py,
-# and code that no search or CLI path called
+# code that no search or CLI path called, and the CLI's per-graph record
+# pipelines that ``cli.GraphFacts`` and ``cli.theorem_outcome`` replaced
 LEFT_THE_PACKAGE = (
     "HeptagramWitness",
     "verify_heptagram",
@@ -48,6 +49,12 @@ LEFT_THE_PACKAGE = (
     "write_graph6_file",
     "canonical_relabel",
     "_grow",
+    "class_facts",
+    "class_record",
+    "_theorem_record",
+    "record_outcome",
+    "dichotomy_outcome",
+    "verdict_from_records",
 )
 
 
@@ -57,6 +64,7 @@ def test_retired_names_stay_out_of_the_package():
         for name in LEFT_THE_PACKAGE:
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(heptalab.Graph, "edge_mask")
+    assert "stats_out" not in inspect.signature(heptalab.generate_heptagram_type).parameters
 
 
 def test_package_never_imports_the_tests():

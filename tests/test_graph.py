@@ -151,6 +151,15 @@ class TestConnectivity:
             assert g.component_masks(mask) == expected
 
 
+class TestHasVertex:
+    def test_only_plain_ints_in_range(self):
+        g = Graph.cycle(5)
+        assert [v for v in range(-2, 8) if g.has_vertex(v)] == [0, 1, 2, 3, 4]
+        for stray in (True, False, 1.0, "1", None):
+            assert not g.has_vertex(stray), stray
+        assert not Graph.empty(0).has_vertex(0)
+
+
 class TestPickle:
     def test_round_trip(self):
         rng = random.Random(5)

@@ -174,6 +174,18 @@ class TestVerify:
         assert verdict.status == "no"
         assert verdict.violation.kind == "sides_connected"
 
+    @pytest.mark.parametrize("stray", [True, 1.0, 4, -1])
+    def test_non_vertex_rejected(self, stray):
+        # on C4 the cut {1, 3} is harmonious; True or 1.0 equals 1 in a set
+        # but is no vertex
+        g = Graph.cycle(4)
+        sides = (frozenset({0}), frozenset({2}))
+        good = HarmoniousPartition((frozenset({1, 3}),), sides)
+        assert verify_harmonious(g, good).status == "yes"
+        p = HarmoniousPartition((frozenset({stray, 3}),), sides)
+        with pytest.raises(ValueError, match="out of range"):
+            verify_harmonious(g, p)
+
     def test_budget_exhaustion_inconclusive(self):
         inst = planted_instances(4, seed=5)[1]
         verdict = verify_harmonious(inst.graph, inst.partition, Budget(1))
