@@ -230,6 +230,8 @@ def theorem_outcome(facts: GraphFacts, theorem: str) -> str:
     cutset must be recognized as one of the two structured classes; the
     searches are exact, so an exhausted budget alone is inconclusive.
     """
+    if theorem not in THEOREM_IDS:
+        raise ValueError(f"unknown theorem {theorem!r}")
     if theorem == "t2.3" and not facts.connected:
         return "filtered"
     if facts.odd_hole_free is None:
@@ -262,10 +264,8 @@ def theorem_outcome(facts: GraphFacts, theorem: str) -> str:
         holds = chi <= omega + 1
     elif theorem == "t1.4-eq":
         holds = (chi == omega + 1) == (omega == 3 and facts.has_c7_complement)
-    elif theorem == "perfection":
+    else:  # perfection
         holds = chi == omega
-    else:
-        raise ValueError(f"unknown theorem {theorem!r}")
     return "pass" if holds else "violation"
 
 

@@ -401,6 +401,14 @@ class TestOnePipeline:
             assert code == 0 and verdicts[name]["population"] > 0
             assert bool(calls) == (name == needed_by), (name, len(calls))
 
+    def test_unknown_theorem_raises_before_any_search(self):
+        # a graph with an odd hole is filtered under every theorem, but not
+        # under a name that is none of them
+        facts = GraphFacts(Graph.cycle(5), DEFAULT_BUDGET)
+        with pytest.raises(ValueError, match="unknown theorem 't9'"):
+            theorem_outcome(facts, "t9")
+        assert vars(facts).keys() == {"g", "budget", "notes"}
+
     def test_facts_are_computed_once_on_first_read(self, monkeypatch):
         calls = []
         real = cli.find_odd_hole
