@@ -42,8 +42,8 @@ from .structures import (
     _crowded_window,
     generate_heptagram_type,
     generate_t11_type,
-    recognize_heptagram_type,
     recognize_t11_type,
+    search_heptagram_type,
 )
 
 SCHEMA_VERSION = 1
@@ -112,11 +112,13 @@ class GraphFacts:
     pays only for what it reads.  Each search gets its own ``Budget(budget)``;
     one that runs out leaves its fact None and appends a note to ``notes``.
 
-    ``omega`` and ``chi`` come from one exact chi search (``omega`` from
-    ``clique_number`` when it runs out).  ``cutset`` is the harmonious-cutset
-    search result, None on a disconnected graph or one with fewer than three
+    ``clique`` is a maximum clique, ``omega`` its size, and the exact chi
+    search starts from it.  ``cutset`` is the harmonious-cutset search
+    result, None on a disconnected graph or one with fewer than three
     vertices.  ``t11_type`` and ``heptagram_type`` are witnesses, or False
-    when there is none; the latter is searched only with the antihole.
+    when there is none; the latter is searched only with the antihole and
+    without a T11-type witness (no graph is of both types, as the
+    ``structures`` docstring shows).
     """
 
     def __init__(self, g: Graph, budget: int) -> None:
@@ -135,21 +137,20 @@ class GraphFacts:
         return find_full_house(self.g) is None
 
     @_fact
-    def omega_chi(self) -> tuple[int, int | None]:
+    def clique(self) -> tuple[int, ...]:
+        return clique_number(self.g)[1]
+
+    @_fact
+    def omega(self) -> int:
+        return len(self.clique)
+
+    @_fact
+    def chi(self) -> int | None:
         try:
-            res = chromatic_number_exact(self.g, Budget(self.budget))
-            return len(res.clique), res.chi
+            return chromatic_number_exact(self.g, Budget(self.budget), self.clique).chi
         except SearchBudgetExceeded:
             self.notes.append("chromatic number search hit its budget")
-            return clique_number(self.g)[0], None
-
-    @property
-    def omega(self) -> int:
-        return self.omega_chi[0]
-
-    @property
-    def chi(self) -> int | None:
-        return self.omega_chi[1]
+            return None
 
     @_fact
     def has_c7_complement(self) -> bool:
@@ -171,10 +172,10 @@ class GraphFacts:
 
     @_fact
     def heptagram_type(self) -> HeptagramTypeWitness | bool | None:
-        if not self.has_c7_complement:
+        if not self.has_c7_complement or self.t11_type:
             return False
         try:
-            return recognize_heptagram_type(self.g, Budget(self.budget)) or False
+            return search_heptagram_type(self.g, Budget(self.budget)) or False
         except SearchBudgetExceeded:
             self.notes.append("heptagram-type search hit its budget")
             return None

@@ -151,18 +151,23 @@ def _try_k_coloring(
     return {v: colors[v] for v in range(n)}, nodes
 
 
-def chromatic_number_exact(g: Graph, budget: Budget | None = None) -> ChiResult:
+def chromatic_number_exact(
+    g: Graph, budget: Budget | None = None, clique: tuple[int, ...] | None = None
+) -> ChiResult:
     """Exact chromatic number with a certified optimal coloring.
 
     Ascends k from the clique bound; the answer k is certified because every
     smaller k (down to the clique number, below which no coloring can exist)
     fails an exhaustive search.  The searches share ``budget`` (a fresh
     ``Budget()`` if None); an exhausted one raises SearchBudgetExceeded.
+    ``clique``, a maximum clique of ``g`` that the caller already holds,
+    saves the ``clique_number`` search.
     """
     budget = Budget() if budget is None else budget
     if g.n == 0:
         return ChiResult(0, Coloring({}, 0), 0, ())
-    omega, witness = clique_number(g)
+    witness = clique_number(g)[1] if clique is None else clique
+    omega = len(witness)
     upper = greedy_coloring(g)
     total_nodes = 0
     if omega == upper.k:

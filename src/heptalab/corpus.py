@@ -16,7 +16,7 @@ import random
 from functools import lru_cache
 from typing import Sequence
 
-from .graph import Graph, to_graph6
+from .graph import Graph
 
 MAX_ENUMERATION_N = 8
 
@@ -113,25 +113,30 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     Before the full test, an extension is dropped when moving the new vertex
     to some position j < n-1 already gives a smaller column j: the columns
     before j stay the parent's, and the new one is the top j bits of the new
-    vertex's column."""
+    vertex's column.
+
+    The output needs no sort: the parents come in graph6 order, and each
+    parent's extensions are made in increasing last column, which is the
+    tail of their graph6 bit string."""
     if not 0 <= n <= MAX_ENUMERATION_N:
         raise ValueError(f"enumeration supported for 0 <= n <= {MAX_ENUMERATION_N}")
     if n == 0:
         return (Graph.empty(0),)
     new = n - 1
-    last_column = [_column(mask, new) for mask in range(1 << new)]
+    # per last column, the new vertex's neighbor mask: _column reverses the
+    # low ``new`` bits, so it is its own inverse
+    column_masks = [_column(col, new) for col in range(1 << new)]
     out = []
     for parent in nonisomorphic_graphs(new):
         parent_columns = _columns(parent.rows)
-        for mask in range(1 << new):
-            col = last_column[mask]
+        for col, mask in enumerate(column_masks):
             if any(col >> (new - j) < parent_columns[j] for j in range(1, new)):
                 continue
             rows = [r | (mask >> u & 1) << new for u, r in enumerate(parent.rows)]
             rows.append(mask)
             if _labeling_below(rows, parent_columns + [col]) is None:
                 out.append(Graph._trusted(n, rows))
-    return tuple(sorted(out, key=to_graph6))
+    return tuple(out)
 
 
 def all_graphs_up_to(n_max: int) -> list[Graph]:

@@ -19,6 +19,14 @@ witness back: the 11-ring one reads its parts off the classes and walks
 their ring order in the quotient's complement, and the full-class one
 runs one budgeted, forward-checked backtracking search whose first levels
 pick the antihole that opens the ring parts.
+
+No graph is of both types.  A graph is of the full-class type exactly
+when its quotient is (``search_heptagram_type``), and the quotient of every
+T11-type graph is the 11-vertex (3,4,5)-circulant core, whose parts are
+the twin classes (``recognize_t11_type``).  The type is an isomorphism
+invariant, and the exact ``_slot_search`` finds no witness on the core (a
+search of 679 steps).  So a caller that holds a T11-type witness may take
+the full-class answer as None without a search.
 """
 
 from __future__ import annotations
@@ -323,8 +331,13 @@ def verify_heptagram_type(g: Graph, w: HeptagramTypeWitness) -> StructureVerdict
     "7", "9" and "10".
     """
     _check_sets(g, w.ring + w.outer)
-    ring = [mask_of(p) for p in w.ring]
-    outer = [mask_of(p) for p in w.outer]
+    failure = _heptagram_failure(g, [mask_of(p) for p in w.ring], [mask_of(p) for p in w.outer])
+    return failure or StructureVerdict(True)
+
+
+def _heptagram_failure(g: Graph, ring: list[int], outer: list[int]) -> StructureVerdict | None:
+    """The first failure of ``verify_heptagram_type`` on the ring part and
+    outer group masks, or None when they meet every rule."""
     bad = _preamble_failure(g, ring + outer, 7) or _pair_failure(g, ring + outer, _SLOT_CHECKS)
     if bad:
         return bad
@@ -365,7 +378,7 @@ def verify_heptagram_type(g: Graph, w: HeptagramTypeWitness) -> StructureVerdict
     crowded = _crowded_window(outer)
     if crowded is not None:
         return StructureVerdict(False, "10", (crowded,))
-    return StructureVerdict(True)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +469,9 @@ def _slot_search(g: Graph, budget: Budget) -> HeptagramTypeWitness | None:
     partners (``_LINKED``, the only ring pairs that fix no adjacency), so
     the seven openers induce the 7-vertex antihole.  Then it branches on a
     vertex with the fewest slots left.  It prunes on an empty domain and
-    runs the full verifier at each leaf.  A failed opener of part 0 loses
-    slot 0: any vertex of part 0 can open it (below).
+    checks every rule on the slot masks at each leaf (``_heptagram_failure``),
+    building a witness only for a leaf that passes.  A failed opener of
+    part 0 loses slot 0: any vertex of part 0 can open it (below).
 
     None is exact.  In every witness the openers can form an antihole that
     is a transversal of its ring parts: take any v0 in part 0 and, as pairs
@@ -510,12 +524,11 @@ def _slot_search(g: Graph, budget: Budget) -> HeptagramTypeWitness | None:
             stack.append(node(rest))
             continue
         budget.spend()  # a leaf: every vertex is placed
-        w = HeptagramTypeWitness(
-            tuple(frozenset(iter_bits(m)) for m in slots[:7]),
-            tuple(frozenset(iter_bits(m)) for m in slots[7:]),
-        )
-        if verify_heptagram_type(g, w).ok:
-            return w
+        if _heptagram_failure(g, slots[:7], slots[7:]) is None:
+            return HeptagramTypeWitness(
+                tuple(frozenset(iter_bits(m)) for m in slots[:7]),
+                tuple(frozenset(iter_bits(m)) for m in slots[7:]),
+            )
     return None
 
 
@@ -526,10 +539,20 @@ def recognize_heptagram_type(
 
     A graph without the 7-vertex antihole has no witness (``_slot_search``
     shows that the ring parts hold one), so it gets None before any search.
-    Otherwise ``_slot_search`` runs on the false-twin quotient
-    (``_twin_quotient``), each part of its witness is lifted to the union of
-    its classes, and the lifted witness, checked once on ``g``, is returned
-    in canonical form.
+    Otherwise ``search_heptagram_type`` runs.
+    """
+    if not has_c7_complement(g):
+        return None
+    return search_heptagram_type(g, budget)
+
+
+def search_heptagram_type(g: Graph, budget: Budget | None = None) -> HeptagramTypeWitness | None:
+    """``recognize_heptagram_type`` without its antihole pre-check, for a
+    caller that has already found the 7-vertex antihole in ``g``.
+
+    ``_slot_search`` runs on the false-twin quotient (``_twin_quotient``),
+    each part of its witness is lifted to the union of its classes, and the
+    lifted witness, checked once on ``g``, is returned in canonical form.
 
     None is exact, because a witness of ``g`` and one of its quotient
     correspond.  Twins share a slot: take false twins u and v in different
@@ -552,8 +575,6 @@ def recognize_heptagram_type(
     returned.
     """
     budget = Budget() if budget is None else budget
-    if not has_c7_complement(g):
-        return None
     classes, quotient = _twin_quotient(g)
     found = _slot_search(quotient, budget)
     if found is None:

@@ -1,6 +1,8 @@
+import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import heptalab
 from heptalab import cli, structures
-from heptalab.cli import GraphFacts, analyze_graph, main, theorem_outcome
+from heptalab.cli import GraphFacts, analyze_graph, evaluate_theorem, main, theorem_outcome
 from heptalab.corpus import MAX_ENUMERATION_N, all_graphs_up_to
 from heptalab.detect import DEFAULT_BUDGET, Budget, c7_complement
 from heptalab.graph import Graph, from_graph6, to_graph6
@@ -269,6 +271,20 @@ class TestAnalyze:
         assert "HEPTALAB_WORKERS" in err and repr(value) in err
 
 
+    def test_structures_transcript_is_pinned(self, capsys, monkeypatch):
+        # the analyze --structures records of the 24 rows of
+        # bench/structured.tsv, byte for byte as data/structures_transcript.jsonl
+        # holds them
+        rows = (Path(__file__).parent.parent / "bench" / "structured.tsv").read_text()
+        lines = "".join(row.split("\t")[1] + "\n" for row in rows.splitlines()[1:])
+        code, out, _ = run_cli(
+            capsys, ["analyze", "-", "--structures", "--no-timings"], lines, monkeypatch
+        )
+        pinned = Path(__file__).parent / "data" / "structures_transcript.jsonl"
+        assert code == 0 and len(out.splitlines()) == 24
+        assert out == pinned.read_text()
+
+
 class TestOnePipeline:
     def test_analyze_and_verify_agree(self):
         # every graph on at most 6 vertices: the analyze report states the
@@ -283,19 +299,21 @@ class TestOnePipeline:
                 facts = GraphFacts(g, DEFAULT_BUDGET)
                 theorem_outcome(facts, theorem)
                 read = {key: getattr(facts, key) for key in reported if key in vars(facts)}
-                if "omega_chi" in vars(facts):
-                    read.update(omega=facts.omega, chi=facts.chi)
                 for key, value in read.items():
                     assert reported[key] == value, (report["graph6"], theorem, key)
                 read_by_any |= set(read)
             # the theorems together read every class fact of an odd-hole-free
-            # graph, the antihole only once it is full-house-free, and nothing
-            # past the odd-hole search otherwise
+            # graph but chi, the antihole only once it is full-house-free, chi
+            # only once some hypothesis holds (t1.3's omega <= 3, or the
+            # others' full-house-freeness), and nothing past the odd-hole
+            # search otherwise
             expected = {"odd_hole_free"}
             if reported["odd_hole_free"]:
-                expected |= {"full_house_free", "omega", "chi"}
+                expected |= {"full_house_free", "omega"}
                 if reported["full_house_free"]:
                     expected.add("has_c7_complement")
+                if reported["full_house_free"] or reported["omega"] <= 3:
+                    expected.add("chi")
             assert read_by_any == expected, report["graph6"]
 
     def test_chi_at_every_order(self):
@@ -340,8 +358,9 @@ class TestOnePipeline:
         assert v["population"] == 1 and v["inconclusive"] == 1
 
     def test_one_antihole_search_without_the_antihole(self, monkeypatch):
-        # the heptagram-type recognizer, which starts with the same search,
-        # runs only on graphs with the antihole; the report is the same
+        # one antihole search per graph: the facts object reaches the
+        # heptagram-type search without the recognizer's own antihole search,
+        # and the report is the recognizer's
         graphs = [generate_t11_type(sizes)[0] for sizes in ([1] * 11, [2, 1] * 5 + [3])]
         graphs += [from_graph6(g6) for g6 in RECOGNIZER_MISSES] + [Graph.path(5)]
         searches = []
@@ -358,7 +377,7 @@ class TestOnePipeline:
             searches.clear()
             report = analyze_graph(g, structures=True, with_timings=False)
             has_antihole = report["flags"]["has_c7_complement"]
-            assert len(searches) == 1 + has_antihole, to_graph6(g)
+            assert len(searches) == 1, to_graph6(g)
             hepta = structures.recognize_heptagram_type(g)
             assert report["structures"]["heptagram_type"] == (
                 hepta.to_json_dict() if hepta else None
@@ -370,13 +389,13 @@ class TestOnePipeline:
         # an exhausted recognizer budget is a note and "inconclusive"; an
         # exact None is a violation at any order (this graph has 17 vertices)
         g = from_graph6(RECOGNIZER_MISSES[0])
-        real = cli.recognize_heptagram_type
-        monkeypatch.setattr(cli, "recognize_heptagram_type", lambda h, budget: real(h, Budget(10)))
+        real = cli.search_heptagram_type
+        monkeypatch.setattr(cli, "search_heptagram_type", lambda h, budget: real(h, Budget(10)))
         report = analyze_graph(g, structures=True, with_timings=False)
         assert report["structures"]["heptagram_type"] is None
         assert report["notes"] == ["heptagram-type search hit its budget"]
         assert theorem_outcome(GraphFacts(g, 10**6), "t2.3") == "inconclusive"
-        monkeypatch.setattr(cli, "recognize_heptagram_type", lambda h, budget: None)
+        monkeypatch.setattr(cli, "search_heptagram_type", lambda h, budget: None)
         assert theorem_outcome(GraphFacts(g, 10**6), "t2.3") == "violation"
 
     @pytest.mark.parametrize("theorem,search,needed_by", [
@@ -408,6 +427,85 @@ class TestOnePipeline:
         with pytest.raises(ValueError, match="unknown theorem 't9'"):
             theorem_outcome(facts, "t9")
         assert vars(facts).keys() == {"g", "budget", "notes"}
+
+    def test_t11_type_graphs_get_no_heptagram_type_search(self, monkeypatch):
+        # no graph is of both types (the structures docstring), so a T11-type
+        # witness answers the heptagram-type question without a slot search;
+        # the recognizer itself still searches the core, for 679 steps in the
+        # generator's labeling (the quotient's labeling sets the count)
+        hosts = []
+        slot_search = structures._slot_search
+        monkeypatch.setattr(
+            structures, "_slot_search", lambda h, budget: hosts.append(h) or slot_search(h, budget)
+        )
+        rng = random.Random(11)
+        for _ in range(6):
+            g, _ = generate_t11_type([rng.randint(1, 3) for _ in range(11)])
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            report = analyze_graph(h, structures=True, with_timings=False)
+            assert report["flags"]["has_c7_complement"] and report["notes"] == []
+            found = report["structures"]
+            assert found["heptagram_type"] is None
+            assert found["t11_type"] == structures.recognize_t11_type(h).to_json_dict()
+            assert hosts == []
+            assert structures.recognize_heptagram_type(h) is None
+            budget = Budget()
+            assert structures.recognize_heptagram_type(g, budget) is None
+            assert budget.spent == 679 and len(hosts) == 2
+            hosts.clear()
+
+    def test_facts_agree_with_the_heptagram_type_recognizer(self):
+        # the 124 pinned recognizer inputs, 5 of them T11 blow-ups
+        pins = Path(__file__).parent / "data" / "heptagram_pins.tsv"
+        shortcuts = 0
+        for line in pins.read_text().splitlines():
+            g = from_graph6(line.split("\t")[0])
+            facts = GraphFacts(g, DEFAULT_BUDGET)
+            assert (facts.heptagram_type or None) == structures.recognize_heptagram_type(g), line
+            shortcuts += bool(facts.t11_type)
+        assert shortcuts == 5
+
+    def test_t13_runs_chi_only_when_omega_allows(self, monkeypatch):
+        # omega comes from the clique search alone, so the 380 odd-hole-free
+        # graphs with omega >= 4 get no chi search; the clique search runs
+        # once per odd-hole-free graph, and chi starts from its clique
+        calls = {"chromatic_number_exact": [], "clique_number": []}
+        for name, seen in calls.items():
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *args, seen=seen, real=real: seen.append(args) or real(*args)
+            )
+        graphs = all_graphs_up_to(7)
+        verdict = evaluate_theorem(graphs, "t1.3")
+        assert (verdict["total"], verdict["population"], verdict["violations"]) == (1253, 727, [])
+        assert len(calls["chromatic_number_exact"]) == 727
+        assert len(calls["clique_number"]) == 1107
+        assert all(len(args) == 3 for args in calls["chromatic_number_exact"])
+
+    def test_one_antihole_search_per_structures_graph(self, monkeypatch):
+        # the 104 graphs of one seed-1 structures bench repetition: 104
+        # antihole searches (not 128), and a slot search on 19 quotients (not
+        # 24: the 5 T11 blow-ups get none)
+        bench = Path(__file__).parent.parent / "bench"
+        monkeypatch.setattr(sys, "path", [str(bench)] + sys.path)  # workloads imports graph6
+        spec = importlib.util.spec_from_file_location("workloads", bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        graphs = workloads.build("structures", 1).graphs
+        antihole, hosts = [], []
+        real, slot_search = cli.has_c7_complement, structures._slot_search
+        counting = lambda h: antihole.append(h) or real(h)  # noqa: E731
+        monkeypatch.setattr(cli, "has_c7_complement", counting)
+        monkeypatch.setattr(structures, "has_c7_complement", counting)
+        monkeypatch.setattr(
+            structures, "_slot_search", lambda h, budget: hosts.append(h) or slot_search(h, budget)
+        )
+        for g6 in graphs:
+            analyze_graph(from_graph6(g6), structures=True, with_timings=False)
+        assert (len(graphs), len(antihole), len(hosts)) == (104, 104, 19)
 
     def test_facts_are_computed_once_on_first_read(self, monkeypatch):
         calls = []

@@ -35,10 +35,11 @@ class TestEnumeration:
         assert len(nonisomorphic_graphs(7)) == GRAPH_COUNTS[7]
 
     def test_all_canonical_and_sorted(self):
-        graphs = nonisomorphic_graphs(5)
-        keys = [to_graph6(g).decode() for g in graphs]
-        assert keys == sorted(keys)
-        for g in graphs:
+        # made in graph6 order, with no sort, at every order up to 7
+        for n in range(8):
+            keys = [to_graph6(g).decode() for g in nonisomorphic_graphs(n)]
+            assert keys == sorted(keys), n
+        for g in nonisomorphic_graphs(5):
             assert canonical_by_placement(g) == g
 
     def test_pairwise_nonisomorphic_n5(self):
