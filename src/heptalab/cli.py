@@ -116,9 +116,10 @@ class GraphFacts:
     search starts from it.  ``cutset`` is the harmonious-cutset search
     result, None on a disconnected graph or one with fewer than three
     vertices.  ``t11_type`` and ``heptagram_type`` are witnesses, or False
-    when there is none; the latter is searched only with the antihole and
-    without a T11-type witness (no graph is of both types, as the
-    ``structures`` docstring shows).
+    when there is none.  Both are searched only with the antihole, and the
+    latter only without a T11-type witness: every graph of either type has
+    the antihole, and no graph is of both types, as the ``structures``
+    docstring shows.
     """
 
     def __init__(self, g: Graph, budget: int) -> None:
@@ -168,7 +169,7 @@ class GraphFacts:
 
     @_fact
     def t11_type(self) -> T11Witness | bool:
-        return recognize_t11_type(self.g) or False
+        return self.has_c7_complement and recognize_t11_type(self.g) or False
 
     @_fact
     def heptagram_type(self) -> HeptagramTypeWitness | bool | None:

@@ -1,5 +1,4 @@
-"""Small-graph corpora: exhaustive enumeration up to isomorphism and
-seeded random samples.
+"""Small-graph corpora: exhaustive enumeration up to isomorphism.
 
 Enumeration is orderly generation.  A graph is canonical when no labeling
 gives it a lexicographically smaller graph6 bit string; each canonical
@@ -12,7 +11,6 @@ dedupe; this is intended for n <= 8.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from typing import Sequence
 
@@ -145,18 +143,3 @@ def all_graphs_up_to(n_max: int) -> list[Graph]:
         out.extend(nonisomorphic_graphs(n))
     return out
 
-
-def random_graphs(count: int, sizes: Sequence[int], seed: int) -> list[Graph]:
-    """Uniform edge-probability-1/2 samples with n drawn uniformly from
-    ``sizes``; fully determined by the seed."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if not sizes or any(s < 0 for s in sizes):
-        raise ValueError("sizes must be nonempty and nonnegative")
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = sizes[rng.randrange(len(sizes))]
-        pairs = n * (n - 1) // 2
-        out.append(Graph.from_edge_mask(n, rng.getrandbits(pairs) if pairs else 0))
-    return out

@@ -5,7 +5,6 @@ with bitmask pruning and answers both cycle questions the paper asks:
 ``find_odd_hole`` returns a shortest induced odd cycle of length at least
 five, and ``has_c7_complement`` looks for an induced 7-cycle in the
 complement, which is an induced 7-vertex antihole of the graph.
-``is_perfect`` runs the odd-hole search on the graph and on its complement;
 ``find_full_house`` enumerates 4-cliques and scans for the attached fifth
 vertex.  Their deliberately simple exhaustive counterparts, used as
 cross-check oracles, live in the test suite (``tests/naive.py``).
@@ -54,12 +53,6 @@ class PatternHit:
     kind: str
     vertices: tuple[int, ...]
     length: int | None = None
-
-
-def full_house_graph() -> Graph:
-    """K4 on vertices 0..3 plus vertex 4 seeing both ends of the edge 0-1."""
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0), (4, 1)]
-    return Graph.from_edges(5, edges)
 
 
 def c7_complement() -> Graph:
@@ -246,12 +239,3 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     expand([], (1 << n) - 1)
     return len(best), tuple(sorted(best))
 
-
-def is_perfect(g: Graph) -> bool:
-    """True when every induced subgraph has chi == omega.
-
-    By the strong perfect graph theorem (Chudnovsky, Robertson, Seymour and
-    Thomas, Ann. Math. 164, 2006) that holds exactly when neither ``g`` nor
-    its complement has an odd hole.
-    """
-    return find_odd_hole(g) is None and find_odd_hole(g.complement()) is None

@@ -278,15 +278,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph._trusted(len(vs), rows), tuple(vs)
 
 
-def is_stable_set(g: Graph, vertices: Iterable[int]) -> bool:
-    """True when no two of the given vertices are adjacent."""
-    sel = mask_of(vertices)
-    for v in iter_bits(sel):
-        if g.rows[v] & sel:
-            return False
-    return True
-
-
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     sel = mask_of(vertices)
     for v in iter_bits(sel):

@@ -58,9 +58,9 @@ class HarmoniousPartition:
     """A cutset split into parts, plus the two separated sides.
 
     ``parts`` are disjoint nonempty vertex sets whose union is the cutset;
-    ``sides`` partition the remaining vertices.  Shape is validated here,
-    while the parity and completeness conditions are the job of
-    ``verify_harmonious``.
+    ``sides``, exactly two, partition the remaining vertices.  Shape is
+    validated here, while the parity and completeness conditions are the
+    job of ``verify_harmonious``.
     """
 
     parts: tuple[frozenset[int], ...]
@@ -69,6 +69,8 @@ class HarmoniousPartition:
     def __post_init__(self) -> None:
         if not self.parts:
             raise ValueError("at least one cutset part required")
+        if len(self.sides) != 2:
+            raise ValueError(f"exactly two sides required, got {len(self.sides)}")
         seen: set[int] = set()
         for what, blocks in (("cutset part", self.parts), ("side", self.sides)):
             for block in blocks:
@@ -342,11 +344,6 @@ def find_harmonious_cutset(g: Graph, budget: Budget | None = None) -> CutsetSear
     if verify_harmonious(g, partition, Budget(budget.limit)).status != "yes":
         raise RuntimeError("parity pass accepted a partition the verifier rejects")
     return CutsetSearchResult("found", partition, budget.spent)
-
-
-def side_vertex_sets(g: Graph, p: HarmoniousPartition) -> tuple[frozenset[int], frozenset[int]]:
-    cut = p.cutset
-    return (p.sides[0] | cut, p.sides[1] | cut)
 
 
 def merge_colorings(

@@ -27,6 +27,14 @@ the twin classes (``recognize_t11_type``).  The type is an isomorphism
 invariant, and the exact ``_slot_search`` finds no witness on the core (a
 search of 679 steps).  So a caller that holds a T11-type witness may take
 the full-class answer as None without a search.
+
+Every T11-type graph has the 7-vertex antihole: one vertex from each of
+parts 0, 1, 3, 4, 6, 7 and 9 of a witness.  Two parts are nonadjacent
+exactly when they are 1 or 2 apart on the ring, and of these seven parts
+that holds for exactly the pairs 0-1, 1-3, 3-4, 4-6, 6-7, 7-9 and 9-0, a
+7-cycle.  So a caller that found no antihole may take the T11-type answer
+as None without a search, as it may the full-class one
+(``recognize_heptagram_type``).
 """
 
 from __future__ import annotations
@@ -416,9 +424,9 @@ def recognize_t11_type(g: Graph) -> T11Witness | None:
     class.  A stuck walk, or a witness that fails verification, shows that
     ``g`` is not of the type.
     """
-    classes, quotient = _twin_quotient(g)
-    if len(classes) != 11:
+    if len(set(g.rows)) != 11:
         return None
+    classes, quotient = _twin_quotient(g)
     ring = quotient.complement().rows
     order, used = [0], 1
     while len(order) < 11:

@@ -5,17 +5,42 @@ order, exhaustive subset scans, and networkx round trips.  None of it shares
 code paths with the package under test, except that the heptagram-type
 oracle checks its candidates with the class verifier, the class definition,
 and the per-partition cutset search walks the package's cutset pool and
-checks each candidate partition with ``verify_harmonious``.
+checks each candidate partition with ``verify_harmonious``.  The first
+helpers are small ones that only the tests need: the full house, the
+stable-set test and the vertex sets of the two sides of a partition.
 """
 
 from functools import lru_cache
 from itertools import combinations, product
+from typing import Iterable
 
 import networkx as nx
 
 from heptalab import harmonious
-from heptalab.graph import Graph, to_graph6
+from heptalab.graph import Graph, iter_bits, mask_of, to_graph6
 from heptalab.structures import HeptagramTypeWitness, verify_heptagram_type
+
+
+def full_house_graph() -> Graph:
+    """K4 on vertices 0..3 plus vertex 4 seeing both ends of the edge 0-1."""
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 0), (4, 1)]
+    return Graph.from_edges(5, edges)
+
+
+def is_stable_set(g: Graph, vertices: Iterable[int]) -> bool:
+    """True when no two of the given vertices are adjacent."""
+    sel = mask_of(vertices)
+    for v in iter_bits(sel):
+        if g.rows[v] & sel:
+            return False
+    return True
+
+
+def side_vertex_sets(
+    g: Graph, p: harmonious.HarmoniousPartition
+) -> tuple[frozenset[int], frozenset[int]]:
+    cut = p.cutset
+    return (p.sides[0] | cut, p.sides[1] | cut)
 
 
 def to_networkx(g: Graph) -> nx.Graph:

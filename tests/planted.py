@@ -1,4 +1,5 @@
-"""Seeded construction of graphs with a known harmonious cutset.
+"""Seeded construction of graphs: uniform random samples, and graphs with
+a known harmonious cutset.
 
 ``glued_instances`` chains ring-family class members at single vertices.
 The planted instances come in three families, all with bipartite or
@@ -15,10 +16,27 @@ by the composition checks):
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from heptalab.graph import Graph
 from heptalab.harmonious import HarmoniousPartition
 from heptalab.structures import generate_heptagram_type, generate_t11_type
+
+
+def random_graphs(count: int, sizes: Sequence[int], seed: int) -> list[Graph]:
+    """Uniform edge-probability-1/2 samples with n drawn uniformly from
+    ``sizes``; fully determined by the seed."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if not sizes or any(s < 0 for s in sizes):
+        raise ValueError("sizes must be nonempty and nonnegative")
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = sizes[rng.randrange(len(sizes))]
+        pairs = n * (n - 1) // 2
+        out.append(Graph.from_edge_mask(n, rng.getrandbits(pairs) if pairs else 0))
+    return out
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from heptalab.cli import (
     verdict_from_outcomes,
 )
 from heptalab.coloring import chromatic_number_exact, is_proper
-from heptalab.corpus import all_graphs_up_to, random_graphs
+from heptalab.corpus import all_graphs_up_to
 from heptalab.detect import (
     DEFAULT_BUDGET,
     c7_complement,
@@ -36,7 +36,7 @@ from heptalab.detect import (
     find_odd_hole,
 )
 from heptalab.graph import Graph, induced_subgraph, to_graph6
-from heptalab.harmonious import merge_colorings, side_vertex_sets, verify_harmonious
+from heptalab.harmonious import merge_colorings, verify_harmonious
 from heptalab.structures import (
     four_color_heptagram_type,
     four_color_t11,
@@ -54,8 +54,9 @@ from .naive import (
     full_houses_by_degree,
     naive_chromatic,
     odd_holes_by_isomorphism,
+    side_vertex_sets,
 )
-from .planted import planted_instances
+from .planted import planted_instances, random_graphs
 from .test_harmonious import side_coloring
 
 SEED = 1729

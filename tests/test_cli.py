@@ -507,6 +507,38 @@ class TestOnePipeline:
             analyze_graph(from_graph6(g6), structures=True, with_timings=False)
         assert (len(graphs), len(antihole), len(hosts)) == (104, 104, 19)
 
+    def test_antihole_free_members_get_no_t11_type_search(self, monkeypatch):
+        # every T11-type graph has the antihole (the structures docstring),
+        # so the class members on at most 7 vertices reach the recognizer
+        # only through the antihole itself
+        hosts = []
+        real = cli.recognize_t11_type
+        monkeypatch.setattr(cli, "recognize_t11_type", lambda h: hosts.append(h) or real(h))
+        members = 0
+        for g in all_graphs_up_to(7):
+            report = analyze_graph(g, structures=True, with_timings=False)
+            if report["structures"] is not None:
+                members += 1
+                assert report["structures"]["t11_type"] is None
+        assert members > 600 and len(hosts) == 1
+        assert structures.has_c7_complement(hosts[0])
+
+    def test_one_twin_quotient_per_antihole_graph(self, monkeypatch):
+        # recognize_t11_type counts the classes before it builds the
+        # quotient, so a graph with the antihole and other than 11 classes
+        # builds one, for the heptagram-type search, and a T11 blow-up one,
+        # for its own recognizer
+        built = []
+        real = structures._twin_quotient
+        monkeypatch.setattr(structures, "_twin_quotient", lambda h: built.append(h) or real(h))
+        graphs = [c7_complement(), generate_t11_type([2, 1] * 5 + [3])[0]]
+        graphs += [from_graph6(g6) for g6 in RECOGNIZER_MISSES]
+        for g in graphs:
+            built.clear()
+            report = analyze_graph(g, structures=True, with_timings=False)
+            assert report["flags"]["has_c7_complement"] and report["notes"] == []
+            assert len(built) == 1, to_graph6(g)
+
     def test_facts_are_computed_once_on_first_read(self, monkeypatch):
         calls = []
         real = cli.find_odd_hole

@@ -10,7 +10,6 @@ from heptalab.corpus import (
     _labeling_below,
     all_graphs_up_to,
     nonisomorphic_graphs,
-    random_graphs,
 )
 from heptalab.graph import Graph, to_graph6
 
@@ -20,6 +19,7 @@ from .naive import (
     nonisomorphic_by_dedupe,
     to_networkx,
 )
+from .planted import random_graphs
 
 # number of graphs on n vertices up to isomorphism (OEIS A000088)
 GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]

@@ -12,9 +12,7 @@ from heptalab.detect import (
     clique_number,
     find_full_house,
     find_odd_hole,
-    full_house_graph,
     has_c7_complement,
-    is_perfect,
     verify_hit,
 )
 from heptalab.graph import Graph, induced_subgraph, is_clique, to_graph6
@@ -23,6 +21,7 @@ from heptalab.structures import generate_heptagram_type, generate_t11_type
 from .naive import (
     clique_number_subsets,
     from_networkx,
+    full_house_graph,
     full_houses_by_degree,
     has_antihole7_by_isomorphism,
     is_bipartite,
@@ -249,7 +248,20 @@ class TestCliqueNumber:
             assert is_clique(g, witness) and len(witness) == omega
 
 
+def is_perfect(g: Graph) -> bool:
+    """True when every induced subgraph has chi == omega.
+
+    By the strong perfect graph theorem (Chudnovsky, Robertson, Seymour and
+    Thomas, Ann. Math. 164, 2006) that holds exactly when neither ``g`` nor
+    its complement has an odd hole.
+    """
+    return find_odd_hole(g) is None and find_odd_hole(g.complement()) is None
+
+
 class TestPerfection:
+    """``find_odd_hole`` on graphs and their complements, read through the
+    strong perfect graph theorem, against the subgraph scan of chi and omega."""
+
     def test_five_cycle_imperfect(self):
         assert not is_perfect(Graph.cycle(5))
 

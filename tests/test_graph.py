@@ -13,13 +13,12 @@ from heptalab.graph import (
     from_graph6,
     induced_subgraph,
     is_clique,
-    is_stable_set,
     to_graph6,
 )
 from heptalab.structures import generate_t11_type
 
 from .lemmas import relation
-from .naive import to_networkx
+from .naive import is_stable_set, to_networkx
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:

@@ -18,7 +18,6 @@ from heptalab.harmonious import (
     find_harmonious_cutset,
     merge_colorings,
     minimal_separators,
-    side_vertex_sets,
     verify_harmonious,
 )
 
@@ -35,6 +34,7 @@ from .naive import (
     minimal_separators_by_subsets,
     shape_classes,
     shaped_cutsets_by_subsets,
+    side_vertex_sets,
 )
 from .planted import glued_instances, planted_instances
 
@@ -185,6 +185,17 @@ class TestVerify:
         p = HarmoniousPartition((frozenset({stray, 3}),), sides)
         with pytest.raises(ValueError, match="out of range"):
             verify_harmonious(g, p)
+
+    def test_third_side_rejected(self):
+        # vertex 5 is no vertex of the path; a third side would hide it
+        with pytest.raises(ValueError, match="exactly two sides"):
+            HarmoniousPartition(
+                (frozenset({1}),), (frozenset({0}), frozenset({2}), frozenset({5}))
+            )
+
+    def test_single_side_rejected(self):
+        with pytest.raises(ValueError, match="exactly two sides"):
+            HarmoniousPartition((frozenset({1}),), (frozenset({0, 2}),))
 
     def test_budget_exhaustion_inconclusive(self):
         inst = planted_instances(4, seed=5)[1]

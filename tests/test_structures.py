@@ -13,11 +13,13 @@ from heptalab.cli import _random_outer_sizes
 from heptalab.corpus import nonisomorphic_graphs
 from heptalab.detect import (
     Budget,
+    PatternHit,
     SearchBudgetExceeded,
     c7_complement,
     find_full_house,
     find_odd_hole,
     has_c7_complement,
+    verify_hit,
 )
 from heptalab.graph import Graph, from_graph6, induced_subgraph
 from heptalab.structures import (
@@ -43,15 +45,13 @@ from .lemmas import (
     relation,
     verify_heptagram,
 )
-from .naive import heptagram_type_by_assignment, t11_sizes_by_twins
+from .naive import heptagram_type_by_assignment, is_stable_set, t11_sizes_by_twins
 from .test_cli import RECOGNIZER_MISSES
 
 
 def naive_heptagram_check(g: Graph, parts) -> bool:
     """Relation-based recheck of the six ring axioms, written independently
     of the verifier's scan order."""
-    from heptalab.graph import is_stable_set
-
     sets = [sorted(p) for p in parts]
     if any(not p for p in sets):
         return False
@@ -320,6 +320,29 @@ class TestRecognizeT11:
         rng = random.Random(40)
         assert recognize_t11_type(Graph.from_edge_mask(40, rng.getrandbits(780))) is None
         assert hosts and set(hosts) == {11}
+
+    def test_other_class_counts_build_no_quotient(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("twin quotient built for a graph without 11 classes")
+
+        monkeypatch.setattr(structures, "_twin_quotient", refuse)
+        g, _ = generate_heptagram_type([2] * 7)
+        for h in (c7_complement(), Graph.circulant(12, (3, 4, 5)), g):
+            assert len(set(h.rows)) != 11
+            assert recognize_t11_type(h) is None
+
+    def test_every_blowup_has_the_antihole(self):
+        # one vertex from each of parts 0, 1, 3, 4, 6, 7 and 9 of a witness
+        # induces the 7-vertex antihole (the structures docstring)
+        rng = random.Random(77)
+        for _ in range(20):
+            g, generated = generate_t11_type([rng.randint(1, 3) for _ in range(11)])
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            for host, w in ((g, generated), (h, recognize_t11_type(h))):
+                picks = tuple(rng.choice(sorted(w.parts[j])) for j in (0, 1, 3, 4, 6, 7, 9))
+                assert verify_hit(host, PatternHit("c7_complement", picks))
 
     def test_near_miss(self):
         g, _ = generate_t11_type([1] * 11)
