@@ -2,13 +2,12 @@
 
 ``chromatic_number_exact`` is a saturation-ordered branch and bound squeezed
 between a clique lower bound and a greedy upper bound; a value of chi is only
-reported once the (chi - 1)-search has been exhausted, and the result keeps
-the maximum clique it started from, so callers read omega off it.  Both the
-greedy and the search track each vertex's neighbor colors as a bitmask; the
-search keeps the masks current with per-color counts as it places and undoes
-colors.  It runs at any order under a ``detect.Budget``, each node costing
-one step per vertex.  The ring families' 4-colorings need no search; they live
-in ``structures``, next to the pair tables they read.
+reported once the (chi - 1)-search has been exhausted.  Both the greedy and
+the search track each vertex's neighbor colors as a bitmask; the search keeps
+the masks current with per-color counts as it places and undoes colors.  It
+runs at any order under a ``detect.Budget``, each node costing one step per
+vertex.  The ring families' 4-colorings need no search; they live in
+``structures``, next to the pair tables they read.
 """
 
 from __future__ import annotations
@@ -33,11 +32,12 @@ class ChiResult:
     chi: int
     coloring: Coloring
     nodes_explored: int
-    clique: tuple[int, ...]  # a maximum clique, the lower bound the search started from
 
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
-    """True when every vertex has a color in range and no edge is monochrome.
+    """True when the colored vertices are those of ``g`` (``Graph.has_vertex``),
+    every color is a plain ``int`` (not a ``bool``) in ``0..k-1`` and no edge
+    is monochrome.
 
     Raises ValueError if some vertex of ``g`` has no color at all.
     """
@@ -45,7 +45,10 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     for v in range(g.n):
         if v not in cols:
             raise ValueError(f"vertex {v} is uncolored")
-        if not 0 <= cols[v] < coloring.k:
+    if not all(map(g.has_vertex, cols)):
+        return False
+    for c in cols.values():
+        if type(c) is not int or not 0 <= c < coloring.k:
             return False
     for u in range(g.n):
         cu = cols[u]
@@ -165,16 +168,16 @@ def chromatic_number_exact(
     """
     budget = Budget() if budget is None else budget
     if g.n == 0:
-        return ChiResult(0, Coloring({}, 0), 0, ())
+        return ChiResult(0, Coloring({}, 0), 0)
     witness = clique_number(g)[1] if clique is None else clique
     omega = len(witness)
     upper = greedy_coloring(g)
     total_nodes = 0
     if omega == upper.k:
-        return ChiResult(omega, upper, 0, witness)
+        return ChiResult(omega, upper, 0)
     for k in range(omega, upper.k):
         found, nodes = _try_k_coloring(g, k, witness, budget)
         total_nodes += nodes
         if found is not None:
-            return ChiResult(k, Coloring(found, k), total_nodes, witness)
-    return ChiResult(upper.k, upper, total_nodes, witness)
+            return ChiResult(k, Coloring(found, k), total_nodes)
+    return ChiResult(upper.k, upper, total_nodes)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, iter_bits, mask_of
+from .graph import Graph, iter_bits
 
 DEFAULT_BUDGET = 10_000_000  # search steps of a budgeted search unless told otherwise
 
@@ -52,7 +52,6 @@ class PatternHit:
 
     kind: str
     vertices: tuple[int, ...]
-    length: int | None = None
 
 
 def c7_complement() -> Graph:
@@ -113,7 +112,7 @@ def find_odd_hole(g: Graph, budget: Budget | None = None) -> PatternHit | None:
     so an exhausted one raises rather than return a possibly wrong answer.
     """
     cycle = _induced_cycle(g.rows, g.n, 5, g.n, Budget() if budget is None else budget)
-    return None if cycle is None else PatternHit("odd_hole", cycle, len(cycle))
+    return None if cycle is None else PatternHit("odd_hole", cycle)
 
 
 def find_full_house(g: Graph) -> PatternHit | None:
@@ -162,11 +161,10 @@ def _is_hole(g: Graph, cycle: int) -> bool:
 def verify_hit(g: Graph, hit: PatternHit) -> bool:
     """Re-check a reported hit against ``g`` from scratch, without a search.
 
-    The vertices must be distinct vertices of ``g`` (``Graph.has_vertex``),
-    or the answer is False, and ``length`` must be a plain ``int`` too.  An
-    odd hole is ``length`` vertices, odd and at least 5, inducing a connected
-    2-regular subgraph, so it is checked at any length.  A 7-antihole is
-    seven vertices, with ``length`` None or 7, inducing such a subgraph in
+    The vertices must be distinct vertices of ``g`` (``Graph.vertex_mask``),
+    or the answer is False.  An odd hole is an odd number of vertices, at
+    least 5, inducing a connected 2-regular subgraph, so it is checked at
+    any length.  A 7-antihole is seven vertices inducing such a subgraph in
     the complement.
     A full house is five vertices with exactly two non-adjacent pairs, and
     the pairs share a vertex: its complement is a path on three vertices
@@ -175,22 +173,14 @@ def verify_hit(g: Graph, hit: PatternHit) -> bool:
     """
     if hit.kind not in ("odd_hole", "c7_complement", "full_house"):
         raise ValueError(f"no check for hit kind {hit.kind!r}")
-    vs, length = hit.vertices, hit.length
-    if not all(map(g.has_vertex, vs)) or len(set(vs)) != len(vs):
+    vs = hit.vertices
+    inside = g.vertex_mask(vs)
+    if inside is None:
         return False
-    if length is not None and type(length) is not int:
-        return False
-    inside = mask_of(vs)
     if hit.kind == "odd_hole":
-        return (
-            length is not None
-            and length % 2 == 1
-            and length >= 5
-            and len(vs) == length
-            and _is_hole(g, inside)
-        )
+        return len(vs) % 2 == 1 and len(vs) >= 5 and _is_hole(g, inside)
     if hit.kind == "c7_complement":
-        return length in (None, 7) and len(vs) == 7 and _is_hole(g.complement(), inside)
+        return len(vs) == 7 and _is_hole(g.complement(), inside)
     strangers = sorted((inside & ~g.rows[v]).bit_count() - 1 for v in vs)
     return strangers == [0, 0, 1, 1, 2]
 

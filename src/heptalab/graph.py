@@ -31,6 +31,37 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def first_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def edge_between(g: Graph, a: int, b: int) -> tuple[int, int] | None:
+    """First (u, v) with u in mask a, v in mask b, uv an edge; None if the
+    masks are anticomplete."""
+    for u in iter_bits(a):
+        hit = g.rows[u] & b
+        if hit:
+            return (u, first_bit(hit))
+    return None
+
+
+def missing_edge(g: Graph, a: int, b: int) -> tuple[int, int] | None:
+    """First (u, v) with u in a, v in b, uv not an edge; None if complete."""
+    for u in iter_bits(a):
+        miss = b & ~g.rows[u]
+        if miss:
+            return (u, first_bit(miss))
+    return None
+
+
+def lonely(g: Graph, a: int, b: int) -> tuple[int] | None:
+    """(u,) for the first u in mask a with no neighbor in mask b; None if none."""
+    for u in iter_bits(a):
+        if not g.rows[u] & b:
+            return (u,)
+    return None
+
+
 class Graph6Error(ValueError):
     """Malformed graph6 input.  ``offset`` points at the offending byte."""
 
@@ -110,23 +141,6 @@ class Graph:
         return cls(n, rows)
 
     @classmethod
-    def from_edge_mask(cls, n: int, mask: int) -> "Graph":
-        """Build from a bitmask over vertex pairs.
-
-        Pair bits are ordered (0,1), (0,2), (1,2), (0,3), ... which matches
-        the graph6 column-major upper triangle.
-        """
-        rows = [0] * n
-        k = 0
-        for j in range(1, n):
-            for i in range(j):
-                if (mask >> k) & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                k += 1
-        return cls(n, rows)
-
-    @classmethod
     def complete(cls, n: int) -> "Graph":
         full = (1 << n) - 1
         return cls(n, tuple(full ^ (1 << u) for u in range(n)))
@@ -166,6 +180,16 @@ class Graph:
     def has_vertex(self, v: object) -> bool:
         """True when ``v`` is a plain ``int`` (not a ``bool``) in ``0..n-1``."""
         return type(v) is int and 0 <= v < self.n
+
+    def vertex_mask(self, vertices: Iterable[object]) -> int | None:
+        """The bitmask of ``vertices``, or None when one of them is not a
+        vertex (``has_vertex``) or comes twice."""
+        m = 0
+        for v in vertices:
+            if not self.has_vertex(v) or m >> v & 1:
+                return None
+            m |= 1 << v
+        return m
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -279,7 +303,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    sel = mask_of(vertices)
+    """True when ``vertices`` are distinct vertices of ``g`` (``Graph.vertex_mask``)
+    and pairwise adjacent."""
+    sel = g.vertex_mask(vertices)
+    if sel is None:
+        return False
     for v in iter_bits(sel):
         if (g.rows[v] & sel) != sel ^ (1 << v):
             return False

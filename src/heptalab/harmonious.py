@@ -46,7 +46,7 @@ from typing import Callable, Iterator
 
 from .coloring import Coloring
 from .detect import Budget, SearchBudgetExceeded
-from .graph import Graph, iter_bits, mask_of
+from .graph import Graph, edge_between, iter_bits, mask_of, missing_edge
 
 
 class MergeError(RuntimeError):
@@ -96,7 +96,6 @@ class HarmoniousPartition:
 class HarmonyViolation:
     kind: str  # "parity" | "parts_not_complete" | "sides_connected"
     vertices: tuple[int, ...]
-    part_pair: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -176,32 +175,25 @@ def verify_harmonious(
     _check_shape(g, p)
     budget = Budget() if budget is None else budget
 
-    side_masks = (mask_of(p.sides[0]), mask_of(p.sides[1]))
-    for u in p.sides[0]:
-        leak = g.rows[u] & side_masks[1]
-        if leak:
-            v = (leak & -leak).bit_length() - 1
-            return HarmonyVerdict("no", HarmonyViolation("sides_connected", (u, v)), budget.spent)
+    leak = edge_between(g, mask_of(p.sides[0]), mask_of(p.sides[1]))
+    if leak:
+        return HarmonyVerdict("no", HarmonyViolation("sides_connected", leak), budget.spent)
 
-    k = len(p.parts)
     part_masks = tuple(mask_of(part) for part in p.parts)
-    if k >= 3:
-        for i, j in combinations(range(k), 2):
-            for u in sorted(p.parts[i]):
-                missing = part_masks[j] & ~g.rows[u]
-                if missing:
-                    v = (missing & -missing).bit_length() - 1
-                    violation = HarmonyViolation("parts_not_complete", (u, v), (i, j))
-                    return HarmonyVerdict("no", violation, budget.spent)
+    if len(part_masks) >= 3:
+        for a, b in combinations(part_masks, 2):
+            missing = missing_edge(g, a, b)
+            if missing:
+                violation = HarmonyViolation("parts_not_complete", missing)
+                return HarmonyVerdict("no", violation, budget.spent)
 
     try:
-        label, path = _parity_pass(g, mask_of(p.cutset), [part_masks], budget)
+        _, path = _parity_pass(g, mask_of(p.cutset), [part_masks], budget)
     except SearchBudgetExceeded:
         return HarmonyVerdict("inconclusive", None, budget.spent)
     if path is None:
         return HarmonyVerdict("yes", None, budget.spent)
-    pair = (label[path[0]], label[path[-1]])
-    return HarmonyVerdict("no", HarmonyViolation("parity", path, pair), budget.spent)
+    return HarmonyVerdict("no", HarmonyViolation("parity", path), budget.spent)
 
 
 @dataclass(frozen=True)

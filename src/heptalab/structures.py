@@ -46,7 +46,16 @@ from typing import Callable, Iterable, Sequence
 
 from .coloring import Coloring
 from .detect import Budget, has_c7_complement
-from .graph import Graph, induced_subgraph, iter_bits, mask_of
+from .graph import (
+    Graph,
+    edge_between,
+    first_bit,
+    induced_subgraph,
+    iter_bits,
+    lonely,
+    mask_of,
+    missing_edge,
+)
 
 
 class GenerationError(ValueError):
@@ -195,43 +204,12 @@ _LINKED = tuple(p for p in combinations(range(7), 2) if _slot_rule(*p)[0] == "li
 # ---------------------------------------------------------------------------
 
 
-def _first_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _edge_between(g: Graph, a: int, b: int) -> tuple[int, int] | None:
-    """First (u, v) with u in mask a, v in mask b, uv an edge; None if the
-    masks are anticomplete."""
-    for u in iter_bits(a):
-        hit = g.rows[u] & b
-        if hit:
-            return (u, _first_bit(hit))
-    return None
-
-
-def _missing_edge(g: Graph, a: int, b: int) -> tuple[int, int] | None:
-    """First (u, v) with u in a, v in b, uv not an edge; None if complete."""
-    for u in iter_bits(a):
-        miss = b & ~g.rows[u]
-        if miss:
-            return (u, _first_bit(miss))
-    return None
-
-
-def _lonely(g: Graph, a: int, b: int) -> tuple[int] | None:
-    """(u,) for the first u in mask a with no neighbor in mask b; None if none."""
-    for u in iter_bits(a):
-        if not g.rows[u] & b:
-            return (u,)
-    return None
-
-
 # per demand: the first offending vertices between masks a and b, or None
 _CHECKS = {
-    "complete": _missing_edge,
-    "anticomplete": _edge_between,
-    "linked": lambda g, a, b: _lonely(g, a, b) or _lonely(g, b, a),
-    "seen": lambda g, a, b: _lonely(g, b, a),
+    "complete": missing_edge,
+    "anticomplete": edge_between,
+    "linked": lambda g, a, b: lonely(g, a, b) or lonely(g, b, a),
+    "seen": lambda g, a, b: lonely(g, b, a),
 }
 
 
@@ -249,16 +227,16 @@ def _preamble_failure(g: Graph, masks: list[int], ring_parts: int) -> StructureV
     union = 0
     for m in masks:
         if union & m:
-            return StructureVerdict(False, "partition", (_first_bit(union & m),))
+            return StructureVerdict(False, "partition", (first_bit(union & m),))
         union |= m
     missing = ~union & ((1 << g.n) - 1)
     if missing:
-        return StructureVerdict(False, "partition", (_first_bit(missing),))
+        return StructureVerdict(False, "partition", (first_bit(missing),))
     for i in range(ring_parts):
         if not masks[i]:
             return StructureVerdict(False, "nonempty", (i,))
     for m in masks:
-        hit = _edge_between(g, m, m)
+        hit = edge_between(g, m, m)
         if hit:
             return StructureVerdict(False, "stable", hit)
     return None
@@ -312,9 +290,9 @@ def _anchor_violation(g: Graph, v: int, far_hi: int, far_lo: int) -> tuple[int, 
     or None when coherent."""
     n_hi, n_lo = g.rows[v] & far_hi, g.rows[v] & far_lo
     return (
-        _missing_edge(g, n_hi, n_lo)
-        or _edge_between(g, n_hi, far_lo & ~n_lo)
-        or _edge_between(g, n_lo, far_hi & ~n_hi)
+        missing_edge(g, n_hi, n_lo)
+        or edge_between(g, n_hi, far_lo & ~n_lo)
+        or edge_between(g, n_lo, far_hi & ~n_hi)
     )
 
 
@@ -352,37 +330,33 @@ def _heptagram_failure(g: Graph, ring: list[int], outer: list[int]) -> Structure
 
     rows = g.rows
     for v in iter_bits(ring[1]):
-        back, fwd = rows[v] & ring[0], rows[v] & ring[2]
-        for u in iter_bits(back):
-            miss = fwd & ~rows[u]
-            if miss:
-                return StructureVerdict(False, "4", (u, v, _first_bit(miss)))
-        back, fwd = ring[0] & ~rows[v], ring[2] & ~rows[v]
-        for u in iter_bits(back):
-            hit = rows[u] & fwd
-            if hit:
-                return StructureVerdict(False, "5", (u, v, _first_bit(hit)))
+        miss = missing_edge(g, rows[v] & ring[0], rows[v] & ring[2])
+        if miss:
+            return StructureVerdict(False, "4", (miss[0], v, miss[1]))
+        hit = edge_between(g, ring[0] & ~rows[v], ring[2] & ~rows[v])
+        if hit:
+            return StructureVerdict(False, "5", (hit[0], v, hit[1]))
 
     for i in range(7):
         far_hi, far_lo = ring[(i + 3) % 7], ring[(i + 4) % 7]
         near = ring[(i + 1) % 7] | ring[(i + 2) % 7] | ring[(i + 5) % 7] | ring[(i + 6) % 7]
         for y in iter_bits(outer[i]):
-            bad = _anchor_violation(g, y, far_hi, far_lo) or _missing_edge(
+            bad = _anchor_violation(g, y, far_hi, far_lo) or missing_edge(
                 g, rows[y] & ring[i], near
             )
             if bad:
                 return StructureVerdict(False, "7", (y,) + bad)
     for i in range(7):
         far = ring[(i + 3) % 7] | ring[(i + 4) % 7]
-        if _missing_edge(g, outer[i], far) is None:
+        if missing_edge(g, outer[i], far) is None:
             continue
         flank = ring[(i + 2) % 7] | ring[(i + 5) % 7]
-        miss = _missing_edge(g, far, flank)
+        miss = missing_edge(g, far, flank)
         if miss:
             return StructureVerdict(False, "9", (i,) + miss)
         for d in (1, 3, 4, 6):
             if outer[(i + d) % 7]:
-                return StructureVerdict(False, "9", (i, _first_bit(outer[(i + d) % 7])))
+                return StructureVerdict(False, "9", (i, first_bit(outer[(i + d) % 7])))
     crowded = _crowded_window(outer)
     if crowded is not None:
         return StructureVerdict(False, "10", (crowded,))
@@ -403,7 +377,7 @@ def _twin_quotient(g: Graph) -> tuple[list[int], Graph]:
     for v, row in enumerate(g.rows):
         classes[row] = classes.get(row, 0) | 1 << v
     masks = list(classes.values())
-    quotient, _ = induced_subgraph(g, [_first_bit(m) for m in masks])
+    quotient, _ = induced_subgraph(g, [first_bit(m) for m in masks])
     return masks, quotient
 
 

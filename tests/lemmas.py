@@ -10,16 +10,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from heptalab.graph import Graph, iter_bits, mask_of
+from heptalab.graph import (
+    Graph,
+    edge_between,
+    first_bit,
+    iter_bits,
+    lonely,
+    mask_of,
+    missing_edge,
+)
 from heptalab.structures import (
     StructureVerdict,
     _anchor_violation,
     _check_sets,
     _dihedral_maps,
-    _edge_between,
-    _first_bit,
-    _lonely,
-    _missing_edge,
     _RingWitness,
 )
 
@@ -51,22 +55,22 @@ def verify_heptagram(g: Graph, w: HeptagramWitness) -> StructureVerdict:
         if not m:
             return StructureVerdict(False, "1", (i,))
         if union & m:
-            return StructureVerdict(False, "1", (_first_bit(union & m),))
+            return StructureVerdict(False, "1", (first_bit(union & m),))
         union |= m
-        hit = _edge_between(g, m, m)
+        hit = edge_between(g, m, m)
         if hit:
             return StructureVerdict(False, "1", hit)
     rows = g.rows
     for i in range(7):
-        hit = _edge_between(g, masks[i], masks[(i + 3) % 7])
+        hit = edge_between(g, masks[i], masks[(i + 3) % 7])
         if hit:
             return StructureVerdict(False, "2", hit)
     for i in range(7):
         for d in (1, 2):
             a, b = masks[i], masks[(i + d) % 7]
-            lonely = _lonely(g, a, b) or _lonely(g, b, a)
-            if lonely:
-                return StructureVerdict(False, "3", lonely)
+            alone = lonely(g, a, b) or lonely(g, b, a)
+            if alone:
+                return StructureVerdict(False, "3", alone)
     for i in range(7):
         prev, cur, nxt = masks[(i + 6) % 7], masks[i], masks[(i + 1) % 7]
         for v in iter_bits(cur):
@@ -74,7 +78,7 @@ def verify_heptagram(g: Graph, w: HeptagramWitness) -> StructureVerdict:
             for u in iter_bits(back):
                 miss = fwd & ~rows[u]
                 if miss:
-                    return StructureVerdict(False, "4", (u, v, _first_bit(miss)))
+                    return StructureVerdict(False, "4", (u, v, first_bit(miss)))
     for i in range(7):
         prev, cur, nxt = masks[(i + 6) % 7], masks[i], masks[(i + 1) % 7]
         for v in iter_bits(cur):
@@ -82,7 +86,7 @@ def verify_heptagram(g: Graph, w: HeptagramWitness) -> StructureVerdict:
             for u in iter_bits(back):
                 hit = rows[u] & fwd
                 if hit:
-                    return StructureVerdict(False, "5", (u, v, _first_bit(hit)))
+                    return StructureVerdict(False, "5", (u, v, first_bit(hit)))
     for i in range(7):
         a, b = masks[(i + 6) % 7], masks[i]
         c, d = masks[(i + 1) % 7], masks[(i + 2) % 7]
@@ -94,7 +98,7 @@ def verify_heptagram(g: Graph, w: HeptagramWitness) -> StructureVerdict:
                     hit = rows[v] & bad_x
                     if hit:
                         return StructureVerdict(
-                            False, "6", (u, v, wv, _first_bit(hit))
+                            False, "6", (u, v, wv, first_bit(hit))
                         )
     return StructureVerdict(True)
 
@@ -147,7 +151,7 @@ def classify_vertex(g: Graph, w: HeptagramWitness, v: int) -> VertexClassificati
         if set(nonempty) != {t, hi, lo}:
             continue
         near = masks[(t + 1) % 7] | masks[(t + 2) % 7] | masks[(t + 5) % 7] | masks[(t + 6) % 7]
-        if _anchor_violation(g, v, masks[hi], masks[lo]) or _missing_edge(
+        if _anchor_violation(g, v, masks[hi], masks[lo]) or missing_edge(
             g, rows[v] & masks[t], near
         ):
             continue
@@ -206,7 +210,7 @@ def find_tails(g: Graph, w: HeptagramWitness, outside: Iterable[int]) -> list[Ta
             if not head_core:
                 return False
             target = side | diag_hi | diag_lo
-            return _missing_edge(g, head_core, target) is None
+            return missing_edge(g, head_core, target) is None
 
         for start in out_set:
             if not (rows[start] & far_hi and rows[start] & far_lo):
@@ -273,7 +277,7 @@ def heptagram_consequences(g: Graph, w: HeptagramWitness) -> list[str]:
     rows = g.rows
 
     def complete(i: int, j: int) -> bool:
-        return _missing_edge(g, masks[i % 7], masks[j % 7]) is None
+        return missing_edge(g, masks[i % 7], masks[j % 7]) is None
 
     issues: list[str] = []
     for i in range(7):

@@ -23,6 +23,23 @@ from heptalab.harmonious import HarmoniousPartition
 from heptalab.structures import generate_heptagram_type, generate_t11_type
 
 
+def from_edge_mask(n: int, mask: int) -> Graph:
+    """Build from a bitmask over vertex pairs.
+
+    Pair bits are ordered (0,1), (0,2), (1,2), (0,3), ... which matches
+    the graph6 column-major upper triangle.
+    """
+    rows = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (mask >> k) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return Graph(n, rows)
+
+
 def random_graphs(count: int, sizes: Sequence[int], seed: int) -> list[Graph]:
     """Uniform edge-probability-1/2 samples with n drawn uniformly from
     ``sizes``; fully determined by the seed."""
@@ -35,7 +52,7 @@ def random_graphs(count: int, sizes: Sequence[int], seed: int) -> list[Graph]:
     for _ in range(count):
         n = sizes[rng.randrange(len(sizes))]
         pairs = n * (n - 1) // 2
-        out.append(Graph.from_edge_mask(n, rng.getrandbits(pairs) if pairs else 0))
+        out.append(from_edge_mask(n, rng.getrandbits(pairs) if pairs else 0))
     return out
 
 

@@ -17,6 +17,7 @@ from heptalab.structures import (
 )
 
 from .naive import naive_chromatic
+from .planted import from_edge_mask
 
 
 class TestExactChromatic:
@@ -39,14 +40,16 @@ class TestExactChromatic:
         rng = random.Random(404)
         for _ in range(300):
             n = rng.randint(0, 8)
-            g = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            g = from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
             res = chromatic_number_exact(g)
             assert res.chi == naive_chromatic(g)
             if n:
                 assert is_proper(g, res.coloring)
                 assert len(set(res.coloring.colors.values())) == res.chi
-                assert clique_number(g)[0] <= res.chi
-            assert is_clique(g, res.clique) and len(res.clique) == clique_number(g)[0]
+            # the clique that seeds the search bounds chi from below
+            omega, seed = clique_number(g)
+            assert is_clique(g, seed) and len(seed) == omega <= res.chi
+            assert chromatic_number_exact(g, clique=seed).chi == res.chi
 
     def test_no_size_cap(self):
         res = chromatic_number_exact(Graph.empty(41))
@@ -202,9 +205,25 @@ class TestIsProper:
     def test_out_of_range_color(self):
         assert not is_proper(Graph.empty(1), Coloring({0: 5}, 2))
 
+    def test_color_must_be_a_plain_int(self):
+        g = Graph.path(2)
+        assert is_proper(g, Coloring({0: 0, 1: 1}, 2))
+        assert not is_proper(g, Coloring({0: 0.5, 1: 1}, 2))
+        assert not is_proper(g, Coloring({0: True, 1: 0}, 2))
+        assert not is_proper(g, Coloring({0: 1.0, 1: 0}, 2))
+
+    def test_key_that_is_no_vertex(self):
+        g = Graph.path(2)
+        assert not is_proper(g, Coloring({0: 0, 1: 1, 9: 0}, 2))
+        assert not is_proper(g, Coloring({0: 0, 1: 1, -1: 0}, 2))
+        # False equals vertex 0 as a key but is no vertex
+        assert not is_proper(g, Coloring({False: 0, 1: 1}, 2))
+        with pytest.raises(ValueError):
+            is_proper(g, Coloring({0: 0, 9: 1}, 2))
+
     def test_greedy_always_proper(self):
         rng = random.Random(3)
         for _ in range(100):
             n = rng.randint(1, 12)
-            g = Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            g = from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
             assert is_proper(g, greedy_coloring(g))

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -106,7 +107,28 @@ def test_retired_names_stay_out_of_the_package():
         for name in LEFT_THE_PACKAGE:
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(heptalab.Graph, "edge_mask")
+    assert not hasattr(heptalab.Graph, "from_edge_mask")
     assert "stats_out" not in inspect.signature(heptalab.generate_heptagram_type).parameters
+    # fields a reader derives or already holds: a hole's length is the
+    # number of its vertices, a violation's parts are in its partition, and
+    # the clique that seeds the chi search is the caller's
+    for cls, name in (
+        (heptalab.PatternHit, "length"),
+        (heptalab.HarmonyViolation, "part_pair"),
+        (heptalab.ChiResult, "clique"),
+    ):
+        assert name not in {f.name for f in dataclasses.fields(cls)}, (cls.__name__, name)
+    # the mask checks live in ``graph``, next to ``iter_bits``, and only there
+    for name in ("_first_bit", "_edge_between", "_missing_edge", "_lonely"):
+        assert not hasattr(heptalab.structures, name), name
+    defs = [
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    for name in ("first_bit", "edge_between", "missing_edge", "lonely"):
+        assert defs.count(name) == 1 and hasattr(heptalab.graph, name), name
 
 
 def test_package_never_imports_the_tests():

@@ -19,10 +19,11 @@ from heptalab.structures import generate_t11_type
 
 from .lemmas import relation
 from .naive import is_stable_set, to_networkx
+from .planted import from_edge_mask
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:
-    return Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
+    return from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
 
 
 class TestKnownEncodings:
@@ -84,7 +85,7 @@ class TestCodecAgainstReference:
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 12), st.integers(0, 2**66 - 1))
     def test_round_trip_property(self, n, bits):
-        g = Graph.from_edge_mask(n, bits & ((1 << (n * (n - 1) // 2)) - 1))
+        g = from_edge_mask(n, bits & ((1 << (n * (n - 1) // 2)) - 1))
         assert from_graph6(to_graph6(g)) == g
 
 
@@ -296,3 +297,20 @@ class TestStableAndClique:
     def test_triangle(self):
         assert is_clique(Graph.complete(3), {0, 1, 2})
         assert not is_stable_set(Graph.complete(3), {0, 1})
+
+    def test_clique_of_non_vertices_or_repeats_is_false(self):
+        g = Graph.cycle(5)
+        assert is_clique(g, [0, 1]) and is_clique(g, [])
+        # a repeated vertex would overstate the clique's size
+        assert not is_clique(g, [0, 0])
+        # True equals vertex 1 but is no vertex
+        assert not is_clique(g, [True, 0])
+        for stray in (7, 5, -1, 0.0):
+            assert not is_clique(g, [stray]), stray
+
+    def test_vertex_mask(self):
+        g = Graph.cycle(5)
+        assert g.vertex_mask([]) == 0
+        assert g.vertex_mask((4, 0, 2)) == 0b10101
+        for bad in ([0, 0], [True], [5], [-1], [1.0]):
+            assert g.vertex_mask(bad) is None, bad

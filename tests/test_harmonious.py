@@ -174,6 +174,16 @@ class TestVerify:
         assert verdict.status == "no"
         assert verdict.violation.kind == "sides_connected"
 
+    def test_least_cross_edge_in_vertex_order_reported(self):
+        # the side {1, 8} iterates as 8, 1; the report follows vertex order
+        edges = [(0, 1), (0, 2), (1, 2), (2, 8), (0, 8)]
+        g = Graph.from_edges(10, edges)
+        p = HarmoniousPartition(
+            (frozenset({0}),), (frozenset({1, 8}), frozenset({2, 3, 4, 5, 6, 7, 9}))
+        )
+        verdict = verify_harmonious(g, p)
+        assert verdict.violation == harmonious.HarmonyViolation("sides_connected", (1, 2))
+
     @pytest.mark.parametrize("stray", [True, 1.0, 4, -1])
     def test_non_vertex_rejected(self, stray):
         # on C4 the cut {1, 3} is harmonious; True or 1.0 equals 1 in a set
@@ -489,7 +499,7 @@ class TestParityPass:
         )
         verdict = verify_harmonious(g, p)
         assert verdict.status == "no"
-        assert verdict.violation == harmonious.HarmonyViolation("parity", (0, 4, 5, 1), (0, 0))
+        assert verdict.violation == harmonious.HarmonyViolation("parity", (0, 4, 5, 1))
 
     def test_budget_one_short_is_inconclusive(self):
         for g in (five_cycle_with_triangle(), Graph.cycle(8), Graph.cycle(9)):

@@ -46,6 +46,7 @@ from .lemmas import (
     verify_heptagram,
 )
 from .naive import heptagram_type_by_assignment, is_stable_set, t11_sizes_by_twins
+from .planted import from_edge_mask
 from .test_cli import RECOGNIZER_MISSES
 
 
@@ -318,7 +319,7 @@ class TestRecognizeT11:
         w = recognize_t11_type(g)
         assert w is not None and w.size_vector() == (30,) * 11
         rng = random.Random(40)
-        assert recognize_t11_type(Graph.from_edge_mask(40, rng.getrandbits(780))) is None
+        assert recognize_t11_type(from_edge_mask(40, rng.getrandbits(780))) is None
         assert hosts and set(hosts) == {11}
 
     def test_other_class_counts_build_no_quotient(self, monkeypatch):
@@ -368,7 +369,7 @@ class TestRecognizeT11:
             ]
         for _ in range(30):
             n = rng.randint(11, 14)
-            cases.append(Graph.from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)))
+            cases.append(from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)))
         # the complements of the ten 4-regular circulants C11(a, b), relabeled:
         # five are the core with another ring order, and five are not members
         for a, b in combinations(range(1, 6), 2):
