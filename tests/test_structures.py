@@ -143,6 +143,17 @@ class TestVerifyHeptagramType:
                           (5, "anticomplete"), (6, "anticomplete")):
             assert relation(g, {y}, w.ring[j]).label == expect
 
+    def test_triple_rules_report_u_v_w(self):
+        # rules 4 and 5 report (u, v, w): v in ring part 1, u in part 0 and
+        # w in part 2, both neighbors of v (rule 4) or neither (rule 5)
+        g, w = generate_heptagram_type([2, 2, 2, 1, 1, 1, 1])
+        (a, _), (v, _), (c, _) = (sorted(w.ring[i]) for i in range(3))
+        edges = set(g.edges())
+        no_ac = Graph.from_edges(g.n, sorted(edges - {(a, c)}))
+        assert verify_heptagram_type(no_ac, w) == StructureVerdict(False, "4", (a, v, c))
+        far = Graph.from_edges(g.n, sorted(edges - {(a, v), (v, c)}))
+        assert verify_heptagram_type(far, w) == StructureVerdict(False, "5", (a, v, c))
+
     def test_forbidden_near_edge_names_rule_six(self):
         g, w = generate_heptagram_type([1] * 7, [1, 0, 0, 0, 0, 0, 0])
         y = next(iter(w.outer[0]))
