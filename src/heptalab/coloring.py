@@ -26,6 +26,10 @@ class Coloring:
     colors: Mapping[int, int]
     k: int
 
+    def has_color(self, c: object) -> bool:
+        """True when ``c`` is a plain ``int`` (not a ``bool``) in ``0..k-1``."""
+        return type(c) is int and 0 <= c < self.k
+
 
 @dataclass(frozen=True)
 class ChiResult:
@@ -36,8 +40,8 @@ class ChiResult:
 
 def is_proper(g: Graph, coloring: Coloring) -> bool:
     """True when the colored vertices are those of ``g`` (``Graph.has_vertex``),
-    every color is a plain ``int`` (not a ``bool``) in ``0..k-1`` and no edge
-    is monochrome.
+    every color is one of the palette (``Coloring.has_color``) and no edge is
+    monochrome.
 
     Raises ValueError if some vertex of ``g`` has no color at all.
     """
@@ -45,11 +49,8 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     for v in range(g.n):
         if v not in cols:
             raise ValueError(f"vertex {v} is uncolored")
-    if not all(map(g.has_vertex, cols)):
+    if not all(map(g.has_vertex, cols)) or not all(map(coloring.has_color, cols.values())):
         return False
-    for c in cols.values():
-        if type(c) is not int or not 0 <= c < coloring.k:
-            return False
     for u in range(g.n):
         cu = cols[u]
         for v in iter_bits(g.rows[u] >> (u + 1)):

@@ -131,10 +131,11 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
+        has_vertex = cls.empty(n).has_vertex
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            if not (has_vertex(u) and has_vertex(v)):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
@@ -190,6 +191,19 @@ class Graph:
                 return None
             m |= 1 << v
         return m
+
+    def vertex_masks(self, sets: Iterable[Iterable[object]]) -> list[int]:
+        """The bitmask of each vertex set; ValueError when a member of one is
+        not a vertex (``has_vertex``)."""
+        masks = []
+        for vertices in sets:
+            m = 0
+            for v in vertices:
+                if not self.has_vertex(v):
+                    raise ValueError(f"vertex {v!r} out of range")
+                m |= 1 << v
+            masks.append(m)
+        return masks
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -287,19 +301,20 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     Vertices are taken in ascending order, so the map is the sorted tuple of
     the requested set.
     """
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
+    sel = 0
+    for v in vertices:
+        if not g.has_vertex(v):
             raise ValueError(f"vertex {v} outside range")
+        sel |= 1 << v
+    vs = tuple(iter_bits(sel))
     pos = {old: new for new, old in enumerate(vs)}
     rows = []
-    sel = mask_of(vs)
     for old in vs:
         m = 0
         for w in iter_bits(g.rows[old] & sel):
             m |= 1 << pos[w]
         rows.append(m)
-    return Graph._trusted(len(vs), rows), tuple(vs)
+    return Graph._trusted(len(vs), rows), vs
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:

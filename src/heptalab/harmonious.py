@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable
 
 from .coloring import Coloring
 from .detect import Budget, SearchBudgetExceeded
@@ -105,13 +105,12 @@ class HarmonyVerdict:
     steps: int
 
 
-def _check_shape(g: Graph, p: HarmoniousPartition) -> None:
-    covered = set(p.cutset) | set(p.sides[0]) | set(p.sides[1])
-    for v in covered:
-        if not g.has_vertex(v):
-            raise ValueError(f"vertex {v!r} out of range")
-    if covered != set(range(g.n)):
+def _check_shape(g: Graph, p: HarmoniousPartition) -> tuple[list[int], list[int]]:
+    """The part and side masks of ``p``, which must cover ``g``."""
+    masks = g.vertex_masks(p.parts + p.sides)
+    if sum(masks) != (1 << g.n) - 1:
         raise ValueError("partition does not cover the vertex set exactly")
+    return masks[:-2], masks[-2:]
 
 
 def _parity_pass(
@@ -172,23 +171,22 @@ def verify_harmonious(
     steps.  Stability of each part is subsumed by parity: an edge inside a
     part is an odd same-part path of length one.
     """
-    _check_shape(g, p)
+    parts, sides = _check_shape(g, p)
     budget = Budget() if budget is None else budget
 
-    leak = edge_between(g, mask_of(p.sides[0]), mask_of(p.sides[1]))
+    leak = edge_between(g, *sides)
     if leak:
         return HarmonyVerdict("no", HarmonyViolation("sides_connected", leak), budget.spent)
 
-    part_masks = tuple(mask_of(part) for part in p.parts)
-    if len(part_masks) >= 3:
-        for a, b in combinations(part_masks, 2):
+    if len(parts) >= 3:
+        for a, b in combinations(parts, 2):
             missing = missing_edge(g, a, b)
             if missing:
                 violation = HarmonyViolation("parts_not_complete", missing)
                 return HarmonyVerdict("no", violation, budget.spent)
 
     try:
-        _, path = _parity_pass(g, mask_of(p.cutset), [part_masks], budget)
+        _, path = _parity_pass(g, sum(parts), [tuple(parts)], budget)
     except SearchBudgetExceeded:
         return HarmonyVerdict("inconclusive", None, budget.spent)
     if path is None:
@@ -203,9 +201,9 @@ class CutsetSearchResult:
     steps: int
 
 
-def minimal_separators(g: Graph, budget: Budget | None = None) -> list[frozenset[int]]:
+def minimal_separators(g: Graph, budget: Budget | None = None) -> list[int]:
     """All inclusion-minimal vertex separators (sets with two components of
-    their removal seeing all of them), sorted by (size, members).
+    their removal seeing all of them) as masks, sorted by (size, members).
 
     Berry-Bordat-Cogis closure (IJFCS 11(3), 2000): the separators are the
     neighborhoods of the components of g - N[v] for each vertex v, closed
@@ -234,7 +232,7 @@ def minimal_separators(g: Graph, budget: Budget | None = None) -> list[frozenset
     for sep in found:  # grows while it is walked
         for x in iter_bits(sep):
             collect(sep | rows[x])
-    return sorted((frozenset(iter_bits(sep)) for sep in found), key=lambda s: (len(s), sorted(s)))
+    return sorted(found, key=lambda sep: (sep.bit_count(), list(iter_bits(sep))))
 
 
 def _shape(rows: tuple[int, ...], cut: int) -> list[tuple[int, ...]] | None:
@@ -274,44 +272,34 @@ def _shape(rows: tuple[int, ...], cut: int) -> list[tuple[int, ...]] | None:
     return [tuple(parts)]
 
 
-def _cutset_pool(
-    g: Graph, separators: list[frozenset[int]]
-) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """The shaped minimal separators (as masks) in the given order, each
-    with its ``_shape`` classes.
-
-    No larger set is needed.  A shaped X that disconnects g contains a
-    minimal (a, b)-separator S for two vertices a and b that X separates;
-    S is shaped too, shape being hereditary, and if no labels suit S, none
-    suit X by the lemma above."""
-    for sep in separators:
-        cut = mask_of(sep)
-        classes = _shape(g.rows, cut)
-        if classes is not None:
-            yield cut, classes
-
-
 def find_harmonious_cutset(g: Graph, budget: Budget | None = None) -> CutsetSearchResult:
     """Search the shaped minimal separators for a verifiable harmonious
     partition.
 
-    The search walks ``_cutset_pool`` with one ``_parity_pass`` per set,
-    except for the sets one vertex larger than a failed one, which fail
-    too by the lemma above.  As the least vertex of each class keeps label
-    0, a bipartite set gets the first of its two-colorings in flip order,
-    so a hit is deterministic; it is checked again by
-    ``verify_harmonious``.  "None" means that no shaped minimal separator
-    passes, and by the lemma no shaped disconnecting set of any size does.
-    Each minimal separator built, cutset tried and parity-pass node charges
-    ``budget`` (a fresh ``Budget()`` if None) a step, and ``steps`` reads
-    what it spent; when it runs dry the answer is "inconclusive".
+    The search walks ``minimal_separators`` in order and gives each shaped
+    one (``_shape`` is not None) a ``_parity_pass``, except a set one vertex
+    larger than a failed one, which fails too by the lemma above.  No larger
+    set is needed: a shaped X that disconnects g contains a minimal
+    (a, b)-separator S for two vertices a and b that X separates, S is
+    shaped too, shape being hereditary, and if no labels suit S, none suit
+    X.  As the least vertex of each class keeps label 0, a bipartite set
+    gets the first of its two-colorings in flip order, so a hit is
+    deterministic; it is checked again by ``verify_harmonious``.  "None"
+    means that no shaped minimal separator passes, and by the lemma no
+    shaped disconnecting set of any size does.  Each minimal separator
+    built, cutset tried and parity-pass node charges ``budget`` (a fresh
+    ``Budget()`` if None) a step, and ``steps`` reads what it spent; when it
+    runs dry the answer is "inconclusive".
     """
     if not g.is_connected():
         raise ValueError("input graph must be connected")
     budget = Budget() if budget is None else budget
     failed: set[int] = set()  # tried cuts whose pass fails, by the lemma or run
     try:
-        for cut, classes in _cutset_pool(g, minimal_separators(g, budget)):
+        for cut in minimal_separators(g, budget):
+            classes = _shape(g.rows, cut)
+            if classes is None:
+                continue
             budget.spend()
             if any(cut & ~(1 << u) in failed for u in iter_bits(cut)):
                 failed.add(cut)
@@ -359,27 +347,27 @@ def merge_colorings(
     ``on_swap(side, aligned_count)`` is invoked after every swap, which the
     test suite uses to assert strict monotonicity.
     """
-    _check_shape(g, p)
+    parts, sides = _check_shape(g, p)
     k = c1.k
     if c2.k != k:
         raise ValueError("side colorings use different palette sizes")
-    if k < len(p.parts):
+    if k < len(parts):
         raise ValueError("palette smaller than the number of cutset parts")
-    part_of = {v: i for i, part in enumerate(p.parts) for v in part}
-    cut = sorted(p.cutset)
+    part_of = {v: i for i, part in enumerate(parts) for v in iter_bits(part)}
+    cut = sorted(part_of)
     merged: dict[int, int] = {}
 
-    for side_idx, (side, source) in enumerate(zip(p.sides, (c1, c2))):
-        visible = sorted(side | p.cutset)
+    for side_idx, (side, source) in enumerate(zip(sides, (c1, c2))):
+        vis_mask = side | sum(parts)
+        visible = list(iter_bits(vis_mask))
         colors = {}
         for v in visible:
             if v not in source.colors:
                 raise ValueError(f"side {side_idx + 1} coloring misses vertex {v}")
             c = source.colors[v]
-            if not 0 <= c < k:
+            if not source.has_color(c):
                 raise ValueError(f"color {c} out of range on vertex {v}")
             colors[v] = c
-        vis_mask = mask_of(visible)
         for u in visible:
             for w in iter_bits(g.rows[u] & vis_mask & ~((1 << (u + 1)) - 1)):
                 if colors[u] == colors[w]:

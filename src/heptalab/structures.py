@@ -213,13 +213,6 @@ _CHECKS = {
 }
 
 
-def _check_sets(g: Graph, parts: Iterable[frozenset[int]]) -> None:
-    for part in parts:
-        for v in part:
-            if not g.has_vertex(v):
-                raise ValueError(f"vertex {v!r} out of range")
-
-
 def _preamble_failure(g: Graph, masks: list[int], ring_parts: int) -> StructureVerdict | None:
     """The first failure of the rules shared by the two covering witnesses,
     or None: "partition" (the masks are disjoint and cover the vertex set),
@@ -274,8 +267,7 @@ def verify_t11_type(g: Graph, w: T11Witness) -> StructureVerdict:
     Rules: "partition" (parts disjoint and covering), "nonempty", "stable",
     "anticomplete" (ring distance 1 and 2), "complete" (distance 3, 4, 5).
     """
-    _check_sets(g, w.parts)
-    masks = [mask_of(p) for p in w.parts]
+    masks = g.vertex_masks(w.parts)
     return (
         _preamble_failure(g, masks, 11)
         or _pair_failure(g, masks, _T11_CHECKS)
@@ -316,9 +308,8 @@ def verify_heptagram_type(g: Graph, w: HeptagramTypeWitness) -> StructureVerdict
     (slots 0-6 are the ring parts, 7-13 the outer groups); then "4"/"5",
     "7", "9" and "10".
     """
-    _check_sets(g, w.ring + w.outer)
-    failure = _heptagram_failure(g, [mask_of(p) for p in w.ring], [mask_of(p) for p in w.outer])
-    return failure or StructureVerdict(True)
+    masks = g.vertex_masks(w.ring + w.outer)
+    return _heptagram_failure(g, masks[:7], masks[7:]) or StructureVerdict(True)
 
 
 def _heptagram_failure(g: Graph, ring: list[int], outer: list[int]) -> StructureVerdict | None:
@@ -438,9 +429,9 @@ def _narrow(g: Graph, domains: dict[int, int], v: int, s: int) -> dict[int, int]
     return out
 
 
-def _slot_search(g: Graph, budget: Budget) -> HeptagramTypeWitness | None:
-    """The first full-class witness of ``g`` that a forward-checked
-    backtracking search meets, or None; exact.
+def _slot_search(g: Graph, budget: Budget) -> list[int] | None:
+    """The 14 slot masks of the first full-class witness of ``g`` that a
+    forward-checked backtracking search meets, or None; exact.
 
     Every vertex gets one of the 14 slots (ring parts and outer groups).
     A complete or anticomplete slot pair of the table ``_slot_rule`` fixes
@@ -450,9 +441,9 @@ def _slot_search(g: Graph, budget: Budget) -> HeptagramTypeWitness | None:
     part i: one that still has slot i and sees the openers of i's linked
     partners (``_LINKED``, the only ring pairs that fix no adjacency), so
     the seven openers induce the 7-vertex antihole.  Then it branches on a
-    vertex with the fewest slots left.  It prunes on an empty domain and
-    checks every rule on the slot masks at each leaf (``_heptagram_failure``),
-    building a witness only for a leaf that passes.  A failed opener of
+    vertex with the fewest slots left.  It prunes on an empty domain,
+    checks every rule on the slot masks at each leaf (``_heptagram_failure``)
+    and returns those of the first leaf that passes.  A failed opener of
     part 0 loses slot 0: any vertex of part 0 can open it (below).
 
     None is exact.  In every witness the openers can form an antihole that
@@ -507,10 +498,7 @@ def _slot_search(g: Graph, budget: Budget) -> HeptagramTypeWitness | None:
             continue
         budget.spend()  # a leaf: every vertex is placed
         if _heptagram_failure(g, slots[:7], slots[7:]) is None:
-            return HeptagramTypeWitness(
-                tuple(frozenset(iter_bits(m)) for m in slots[:7]),
-                tuple(frozenset(iter_bits(m)) for m in slots[7:]),
-            )
+            return slots
     return None
 
 
@@ -533,7 +521,7 @@ def search_heptagram_type(g: Graph, budget: Budget | None = None) -> HeptagramTy
     caller that has already found the 7-vertex antihole in ``g``.
 
     ``_slot_search`` runs on the false-twin quotient (``_twin_quotient``),
-    each part of its witness is lifted to the union of its classes, and the
+    each of its slot masks is lifted to the union of its classes, and the
     lifted witness, checked once on ``g``, is returned in canonical form.
 
     None is exact, because a witness of ``g`` and one of its quotient
@@ -558,16 +546,14 @@ def search_heptagram_type(g: Graph, budget: Budget | None = None) -> HeptagramTy
     """
     budget = Budget() if budget is None else budget
     classes, quotient = _twin_quotient(g)
-    found = _slot_search(quotient, budget)
-    if found is None:
+    slots = _slot_search(quotient, budget)
+    if slots is None:
         return None
-    parts = [
-        frozenset(v for j in p for v in iter_bits(classes[j])) for p in found.ring + found.outer
-    ]
-    w = HeptagramTypeWitness(tuple(parts[:7]), tuple(parts[7:]))
-    if not verify_heptagram_type(g, w).ok:
+    lifted = [sum(classes[j] for j in iter_bits(m)) for m in slots]
+    if _heptagram_failure(g, lifted[:7], lifted[7:]) is not None:
         raise RuntimeError("a lifted quotient witness fails on the input graph")
-    return w.canonical()
+    parts = [frozenset(iter_bits(m)) for m in lifted]
+    return HeptagramTypeWitness(tuple(parts[:7]), tuple(parts[7:])).canonical()
 
 
 # ---------------------------------------------------------------------------

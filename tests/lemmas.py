@@ -22,7 +22,6 @@ from heptalab.graph import (
 from heptalab.structures import (
     StructureVerdict,
     _anchor_violation,
-    _check_sets,
     _dihedral_maps,
     _RingWitness,
 )
@@ -48,8 +47,7 @@ def verify_heptagram(g: Graph, w: HeptagramWitness) -> StructureVerdict:
     to neither forces the pair nonadjacent; "6" for a cross pair of edges
     u-w, v-x spanning four consecutive parts, u-v or w-x must be an edge.
     """
-    _check_sets(g, w.parts)
-    masks = [mask_of(p) for p in w.parts]
+    masks = g.vertex_masks(w.parts)
     union = 0
     for i, m in enumerate(masks):
         if not m:

@@ -441,18 +441,17 @@ def shape_classes(rows: tuple[int, ...], cut: int) -> list[tuple[int, ...]] | No
     return [tuple(parts)]
 
 
-def cutset_pool_from_scratch(g: Graph, separators: list[frozenset[int]]):
+def cutset_pool_from_scratch(g: Graph, separators: list[int]):
     """Every shaped set that disconnects g, each with its ``shape_classes``:
-    the shaped separators in order, then the shaped, disconnecting
+    the shaped separators (masks) in order, then the shaped, disconnecting
     one-vertex extensions of each admitted set in turn, each tested with a
-    fresh component search.  ``harmonious._cutset_pool`` yields only the
-    first part; the lemma in the ``harmonious`` docstring says the rest
-    cannot change an answer, and the tests check it against this pool."""
+    fresh component search.  ``find_harmonious_cutset`` tries only the first
+    part; the lemma in the ``harmonious`` docstring says the rest cannot
+    change an answer, and the tests check it against this pool."""
     full = (1 << g.n) - 1
-    masks = [sum(1 << v for v in sep) for sep in separators]
-    seen = set(masks)
+    seen = set(separators)
     admitted = []
-    for cut in masks:
+    for cut in separators:
         if (shape := shape_classes(g.rows, cut)) is not None:
             admitted.append(cut)
             yield cut, shape

@@ -61,6 +61,8 @@ LEFT_THE_PACKAGE = (
     "is_stable_set",
     "side_vertex_sets",
     "random_graphs",
+    "_cutset_pool",
+    "_check_sets",
 )
 
 # public module-level names that no package module uses, each with the
@@ -129,6 +131,14 @@ def test_retired_names_stay_out_of_the_package():
     ]
     for name in ("first_bit", "edge_between", "missing_edge", "lonely"):
         assert defs.count(name) == 1 and hasattr(heptalab.graph, name), name
+
+
+def test_vertex_sets_are_checked_in_one_place():
+    # a witness's vertex sets become masks through ``Graph.vertex_masks``
+    # (or ``vertex_mask``), never through a loop of ``has_vertex`` calls;
+    # ``is_proper`` checks a coloring's keys, which are no vertex sets
+    naming = sorted(path.name for path in SOURCES if "has_vertex" in path.read_text())
+    assert naming == ["coloring.py", "graph.py"]
 
 
 def test_package_never_imports_the_tests():

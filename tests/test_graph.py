@@ -160,6 +160,30 @@ class TestHasVertex:
         assert not Graph.empty(0).has_vertex(0)
 
 
+class TestFromEdges:
+    @pytest.mark.parametrize("edge", [(True, 2), (1.0, 2), (2, 1.0), (0, 3), (-1, 2)])
+    def test_non_vertex_endpoint_rejected(self, edge):
+        # True would build the edge 1-2, and 1.0 fails no range check
+        with pytest.raises(ValueError, match="outside vertex range"):
+            Graph.from_edges(3, [edge])
+
+    def test_loop_rejected(self):
+        with pytest.raises(ValueError, match="loop"):
+            Graph.from_edges(3, [(1, 1)])
+
+
+class TestVertexMasks:
+    def test_masks_in_order(self):
+        g = Graph.cycle(5)
+        assert g.vertex_masks([]) == []
+        assert g.vertex_masks([frozenset({4, 0}), (), [2]]) == [0b10001, 0, 0b100]
+
+    @pytest.mark.parametrize("stray", [True, 1.0, -1, 5])
+    def test_non_vertex_rejected(self, stray):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.cycle(5).vertex_masks([{0}, {stray, 3}])
+
+
 class TestPickle:
     def test_round_trip(self):
         rng = random.Random(5)
@@ -251,6 +275,16 @@ class TestInducedSubgraph:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             induced_subgraph(Graph.cycle(4), [0, 5])
+
+    @pytest.mark.parametrize("stray", [True, 1.0])
+    def test_non_vertex_rejected(self, stray):
+        # True equals vertex 1 and 1.0 sorts like it, but neither is a vertex
+        with pytest.raises(ValueError, match="outside range"):
+            induced_subgraph(Graph.cycle(4), [stray, 2])
+
+    def test_repeats_and_order_do_not_matter(self):
+        sub, mapping = induced_subgraph(Graph.cycle(5), [2, 0, 2, 1])
+        assert sub == Graph.path(3) and mapping == (0, 1, 2)
 
 
 class TestRelation:

@@ -74,17 +74,26 @@ def side_coloring(g: Graph, p: HarmoniousPartition, side: int, k: int) -> Colori
     return Coloring({mapping[i]: c for i, c in base.colors.items()}, k)
 
 
+def shaped_separators(g: Graph) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """The minimal separators that ``harmonious._shape`` classifies, in
+    order, with their classes: the sets ``find_harmonious_cutset`` tries."""
+    pairs = ((cut, harmonious._shape(g.rows, cut)) for cut in minimal_separators(g))
+    return [(cut, classes) for cut, classes in pairs if classes is not None]
+
+
 def record_pool(monkeypatch) -> list[int]:
-    """The cutsets the search takes from its pool, recorded as it runs."""
+    """The cutsets the search takes from its pool (the minimal separators
+    that ``_shape`` classifies), recorded as it runs."""
     tried: list[int] = []
-    pool = harmonious._cutset_pool
+    shape = harmonious._shape
 
-    def recording(g, separators):
-        for cut, classes in pool(g, separators):
+    def recording(rows, cut):
+        classes = shape(rows, cut)
+        if classes is not None:
             tried.append(cut)
-            yield cut, classes
+        return classes
 
-    monkeypatch.setattr(harmonious, "_cutset_pool", recording)
+    monkeypatch.setattr(harmonious, "_shape", recording)
     return tried
 
 
@@ -99,6 +108,11 @@ def record_passes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(harmonious, "_parity_pass", recording)
     return passed
+
+
+def separator_masks_by_subsets(g: Graph) -> list[int]:
+    """``minimal_separators_by_subsets`` as masks, in its order."""
+    return [mask_of(s) for s in minimal_separators_by_subsets(g)]
 
 
 def structured_bench_graphs() -> list[Graph]:
@@ -219,16 +233,15 @@ class TestVerify:
 
 class TestSeparators:
     def test_path_four(self):
-        assert minimal_separators(Graph.path(4)) == [
-            frozenset({1}),
-            frozenset({2}),
-        ]
+        assert minimal_separators(Graph.path(4)) == [mask_of({1}), mask_of({2})]
 
     def test_cycle_four(self):
-        assert minimal_separators(Graph.cycle(4)) == [
-            frozenset({0, 2}),
-            frozenset({1, 3}),
-        ]
+        assert minimal_separators(Graph.cycle(4)) == [mask_of({0, 2}), mask_of({1, 3})]
+
+    def test_separators_are_masks(self):
+        # plain vertex masks, the form the cutset search reads
+        separators = minimal_separators(Graph.cycle(6))
+        assert len(separators) == 9 and all(type(sep) is int for sep in separators)
 
     def test_clique_has_none(self):
         assert minimal_separators(Graph.complete(4)) == []
@@ -237,11 +250,11 @@ class TestSeparators:
         # every graph on at most 7 vertices, disconnected ones included
         for h in nx.graph_atlas_g():
             g = from_networkx(h)
-            assert minimal_separators(g) == minimal_separators_by_subsets(g), g
+            assert minimal_separators(g) == separator_masks_by_subsets(g), g
 
     def test_random_matches_subset_scan(self):
         for g in random_connected_graphs(30, seed=11):
-            assert minimal_separators(g) == minimal_separators_by_subsets(g), g
+            assert minimal_separators(g) == separator_masks_by_subsets(g), g
 
     def test_budget_caps_separators_found(self):
         g = Graph.cycle(8)  # its minimal separators: the 20 non-adjacent pairs
@@ -258,7 +271,7 @@ class TestPool:
         # vertices only above the largest member, with a seen-set prune,
         # misses sets here; adding every vertex to every set does not)
         for g in random_connected_graphs(30, seed=5):
-            pool = [cut for cut, _ in harmonious._cutset_pool(g, minimal_separators(g))]
+            pool = [cut for cut, _ in shaped_separators(g)]
             separators = minimal_separators_by_subsets(g)
             assert pool == [mask_of(s) for s in separators if is_shaped(g, s)], g
             full = [cut for cut, _ in cutset_pool_from_scratch(g, minimal_separators(g))]
@@ -275,8 +288,8 @@ class TestPool:
         graphs += glued_instances(3, seed=2) + structured_bench_graphs()
         for g in graphs:
             separators = minimal_separators(g)
-            shaped = [mask_of(s) for s in separators if is_shaped(g, s)]
-            got = list(harmonious._cutset_pool(g, separators))
+            shaped = [s for s in separators if is_shaped(g, iter_bits(s))]
+            got = shaped_separators(g)
             assert [cut for cut, _ in got] == shaped, to_graph6(g)
             assert got == list(islice(cutset_pool_from_scratch(g, separators), len(shaped)))
 
@@ -310,9 +323,9 @@ class TestPool:
         # goes on to larger sets; the package pool stops after the nine
         g = Graph.cycle(6)
         separators = minimal_separators(g)
-        pool = [cut for cut, _ in harmonious._cutset_pool(g, separators)]
+        pool = [cut for cut, _ in shaped_separators(g)]
         full = [cut for cut, _ in cutset_pool_from_scratch(g, separators)]
-        assert pool == full[: len(separators)] == [mask_of(s) for s in separators]
+        assert pool == full[: len(separators)] == separators
         assert len(pool) == 9 and len(full) > len(pool)
 
     def test_every_shaped_cutset_contains_a_shaped_separator(self):
@@ -321,7 +334,7 @@ class TestPool:
         graphs = [g for g in all_graphs_up_to(6) if g.n and g.is_connected()]
         graphs += random_connected_graphs(40, seed=19, sizes=(7, 11))
         for g in graphs:
-            shaped = [mask_of(s) for s in minimal_separators(g) if is_shaped(g, s)]
+            shaped = [s for s in minimal_separators(g) if is_shaped(g, iter_bits(s))]
             for cut in shaped_cutsets_by_subsets(g):
                 assert any(s & cut == s for s in shaped), (to_graph6(g), cut)
 
@@ -388,7 +401,7 @@ class TestSearch:
         # no harmonious cutset: 5 separators, all shaped, and 5 larger
         # shaped cutsets the search never tries
         g = Graph.cycle(5)
-        separators = [mask_of(s) for s in minimal_separators(g)]
+        separators = minimal_separators(g)
         assert len(shaped_cutsets_by_subsets(g)) == 10
         done = find_harmonious_cutset(g)
         tried = record_pool(monkeypatch)
@@ -472,8 +485,7 @@ class TestParityPass:
 
     def test_pair_with_paths_of_both_parities_is_skipped(self):
         g = five_cycle_with_triangle()
-        pool = harmonious._cutset_pool(g, minimal_separators(g))
-        cut, classes = next(pool)
+        cut, classes = shaped_separators(g)[0]
         assert cut == mask_of((1, 2)) and len(classes) == 2
         _, path = harmonious._parity_pass(g, cut, classes, Budget())
         assert path is not None and {path[0], path[-1]} == {1, 2}
@@ -551,6 +563,7 @@ class TestInheritedFailures:
         assert res == find_harmonious_cutset(g)  # recording changes nothing
         if res.status == "found":  # verify_harmonious repeats the last pass
             assert passed.pop() == passed[-1] == tried[-1] == mask_of(res.partition.cutset)
+        assert tried == [cut for cut, _ in shaped_separators(g)][: len(tried)]
         assert set(passed) <= set(tried) and len(passed) == len(set(passed))
         skipped = [cut for cut in tried if cut not in set(passed)]
         for cut in skipped:
@@ -686,6 +699,20 @@ class TestMerge:
         broken[v] = broken[u]
         with pytest.raises(ValueError):
             merge_colorings(g, p, Coloring(broken, 2), c2)
+
+    @pytest.mark.parametrize("stray", [True, 1.0])
+    def test_color_outside_the_palette_rejected(self, stray):
+        # on C4 the cut {1, 3} is harmonious; True and 1.0 equal a color
+        # but are none (``Coloring.has_color``), so a merge must not return them
+        g = Graph.cycle(4)
+        p = HarmoniousPartition((frozenset({1, 3}),), (frozenset({0}), frozenset({2})))
+        assert verify_harmonious(g, p).status == "yes"
+        left, right = Coloring({0: 1, 1: 0, 3: 0}, 2), Coloring({2: 1, 1: 0, 3: 0}, 2)
+        assert is_proper(g, merge_colorings(g, p, left, right))
+        with pytest.raises(ValueError, match="out of range"):
+            merge_colorings(g, p, Coloring({0: stray, 1: 0, 3: 0}, 2), right)
+        with pytest.raises(ValueError, match="out of range"):
+            merge_colorings(g, p, left, Coloring({2: stray, 1: 0, 3: 0}, 2))
 
     def test_non_harmonious_partition_detected(self):
         g = Graph.cycle(4)
