@@ -4,13 +4,16 @@ The searches here are exact.  One induced-cycle search walks induced paths
 with bitmask pruning and answers both cycle questions the paper asks:
 ``find_odd_hole`` returns a shortest induced odd cycle of length at least
 five, and ``has_c7_complement`` looks for an induced 7-cycle in the
-complement, which is an induced 7-vertex antihole of the graph.
-``find_full_house`` enumerates 4-cliques and scans for the attached fifth
-vertex.  Their deliberately simple exhaustive counterparts, used as
+complement, which is an induced 7-vertex antihole of the graph, among the
+vertices that a peel by degree leaves.  ``find_full_house`` is polynomial:
+it asks whether the common neighborhood of some edge is not complete
+multipartite.  Their deliberately simple exhaustive counterparts, used as
 cross-check oracles, live in the test suite (``tests/naive.py``).
 ``verify_hit`` re-checks a witness of each kind directly, without a search.
-Every exponential search of the package charges its steps to a ``Budget``,
-whose ``spend`` is the one place that raises ``SearchBudgetExceeded``.
+``find_odd_hole`` charges its steps to a ``Budget``, as do the chi and
+cutset searches elsewhere, and ``Budget.spend`` is the one place that
+raises ``SearchBudgetExceeded``; ``clique_number`` and the antihole search
+take no budget.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, iter_bits
+from .graph import Graph, edge_between, iter_bits, multipartite_parts
 
 DEFAULT_BUDGET = 10_000_000  # search steps of a budgeted search unless told otherwise
 
@@ -118,35 +121,62 @@ def find_odd_hole(g: Graph, budget: Budget | None = None) -> PatternHit | None:
 def find_full_house(g: Graph) -> PatternHit | None:
     """Find five vertices inducing a K4 with a pendant vertex on one edge.
 
-    Enumerates 4-cliques and scans fifth vertices with exactly two neighbors
-    inside.
+    Lemma: g has a full house exactly when some edge ab has a common
+    neighborhood C = N(a) & N(b) that induces no complete multipartite
+    graph.  Proof: in a full house, the K4 is a, b, c, d and the fifth
+    vertex v sees a and b.  Then c, d and v lie in C, and they induce an
+    edge plus an isolated vertex.  Conversely, such a triple c ~ d, with v
+    seeing neither, in C makes {a, b, c, d} a K4 and v the fifth vertex.  A
+    graph without an induced edge plus an isolated vertex is complete
+    multipartite: its complement has no induced path on three vertices, so
+    it is a disjoint union of cliques.
+
+    Each edge ab with a < b costs O(n) mask operations
+    (``multipartite_parts``), so the test takes O(m n) of them.  The
+    witness is a, b and the first offending triple in C.
     """
     rows = g.rows
     for a in range(g.n):
-        above_a = ~((1 << (a + 1)) - 1)
-        for b in iter_bits(rows[a] & above_a):
-            common_ab = rows[a] & rows[b] & ~((1 << (b + 1)) - 1)
-            for c in iter_bits(common_ab):
-                common = common_ab & rows[c] & ~((1 << (c + 1)) - 1)
-                for d in iter_bits(common):
-                    quad = (1 << a) | (1 << b) | (1 << c) | (1 << d)
-                    for v in range(g.n):
-                        if (1 << v) & quad:
-                            continue
-                        if (rows[v] & quad).bit_count() == 2:
-                            return PatternHit(
-                                "full_house", tuple(sorted((a, b, c, d, v)))
-                            )
+        if rows[a].bit_count() < 4:
+            continue  # a sees b and three vertices of C
+        for b in iter_bits(rows[a] & ~((1 << (a + 1)) - 1)):
+            common = rows[a] & rows[b]
+            if common.bit_count() < 3 or multipartite_parts(rows, common) is not None:
+                continue
+            for v in iter_bits(common):
+                away = common & ~rows[v] & ~(1 << v)
+                edge = edge_between(g, away, away)
+                if edge is not None:
+                    return PatternHit("full_house", tuple(sorted((a, b, v) + edge)))
     return None
 
 
 def has_c7_complement(g: Graph) -> bool:
     """True when ``g`` has an induced 7-vertex antihole, that is, when its
-    complement has an induced 7-cycle.  The complement's rows are valid by
-    construction, so they go to the search without building a Graph."""
-    full = (1 << g.n) - 1
-    rows = [(full ^ r) & ~(1 << u) for u, r in enumerate(g.rows)]
-    return _induced_cycle(rows, g.n, 7, 7, None) is not None
+    complement has an induced 7-cycle.
+
+    Each vertex of an antihole has 4 neighbors and 2 non-neighbors inside
+    it, so an antihole survives a peel that repeatedly drops every vertex
+    with fewer than 4 neighbors, or fewer than 2 non-neighbors, among the
+    vertices left.  The cycle search runs on the complement of what is
+    left; its rows are valid by construction, so no Graph is built.
+    """
+    rows, left = g.rows, (1 << g.n) - 1
+    while True:
+        size = left.bit_count()
+        if size < 7:
+            return False
+        keep = 0
+        for u in iter_bits(left):
+            if 4 <= (rows[u] & left).bit_count() <= size - 3:
+                keep |= 1 << u
+        if keep == left:
+            break
+        left = keep
+    comp = [0] * g.n
+    for u in iter_bits(left):
+        comp[u] = (left & ~rows[u]) ^ (1 << u)
+    return _induced_cycle(comp, g.n, 7, 7, None) is not None
 
 
 def _is_hole(g: Graph, cycle: int) -> bool:
@@ -188,44 +218,48 @@ def verify_hit(g: Graph, hit: PatternHit) -> bool:
 def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum clique size with a witness.
 
-    Branch and bound: candidates are greedily colored and visited in reverse
-    color order, pruning branches whose color bound cannot beat the best.
+    Branch and bound on an explicit stack: candidates are greedily colored
+    and visited in reverse color order, pruning branches whose color bound
+    cannot beat the best.
     """
-    n = g.n
-    if n == 0:
-        return 0, ()
     rows = g.rows
-    best: list[int] = []
 
-    def expand(current: list[int], cand: int) -> None:
-        nonlocal best
-        if not cand:
-            if len(current) > len(best):
-                best = list(current)
-            return
-        # greedy coloring of the candidate set
-        colors: dict[int, int] = {}
-        seq: list[int] = []
-        rest = cand
-        color = 0
+    def colored(cand: int) -> list[tuple[int, int]]:
+        """A greedy coloring of ``cand``: (vertex, color) in coloring order."""
+        seq: list[tuple[int, int]] = []
+        rest, color = cand, 0
         while rest:
             color += 1
             avail = rest
             while avail:
                 v = (avail & -avail).bit_length() - 1
-                colors[v] = color
-                seq.append(v)
+                seq.append((v, color))
                 avail &= ~rows[v] & ~((1 << (v + 1)) - 1)
                 rest ^= 1 << v
-        pool = cand
-        for v in reversed(seq):
-            if len(current) + colors[v] <= len(best):
-                return
-            current.append(v)
-            expand(current, pool & rows[v])
+        return seq
+
+    best: list[int] = []
+    current: list[int] = []
+    # one frame per open branch: its colored candidates not yet visited (the
+    # next one last) and their mask; frames below the first extend ``current``
+    full = (1 << g.n) - 1
+    stack = [[colored(full), full]]
+    while stack:
+        frame = stack[-1]
+        seq = frame[0]
+        if not seq or len(current) + seq[-1][1] <= len(best):
+            stack.pop()
+            if stack:
+                current.pop()
+            continue
+        v = seq.pop()[0]
+        cand = frame[1] & rows[v]
+        frame[1] ^= 1 << v
+        current.append(v)
+        if cand:
+            stack.append([colored(cand), cand])
+        else:
+            if len(current) > len(best):
+                best = list(current)
             current.pop()
-            pool ^= 1 << v
-
-    expand([], (1 << n) - 1)
     return len(best), tuple(sorted(best))
-

@@ -62,6 +62,26 @@ def lonely(g: Graph, a: int, b: int) -> tuple[int] | None:
     return None
 
 
+def multipartite_parts(rows: Sequence[int], mask: int) -> list[int] | None:
+    """The parts of G[mask] in order of least vertex, or None when G[mask]
+    is not complete multipartite.  Parts are peeled one at a time: the least
+    vertex left and its non-neighbors left form a part exactly when each of
+    them sees exactly the vertices left outside it."""
+    parts = []
+    while mask:
+        part = mask & ~rows[(mask & -mask).bit_length() - 1]
+        rest = mask ^ part
+        left = part
+        while left:  # bits walked inline: on K_n each part is one vertex
+            low = left & -left
+            if rows[low.bit_length() - 1] & mask != rest:
+                return None
+            left ^= low
+        parts.append(part)
+        mask = rest
+    return parts
+
+
 class Graph6Error(ValueError):
     """Malformed graph6 input.  ``offset`` points at the offending byte."""
 

@@ -46,7 +46,7 @@ from typing import Callable
 
 from .coloring import Coloring
 from .detect import Budget, SearchBudgetExceeded
-from .graph import Graph, edge_between, iter_bits, mask_of, missing_edge
+from .graph import Graph, edge_between, iter_bits, mask_of, missing_edge, multipartite_parts
 
 
 class MergeError(RuntimeError):
@@ -57,7 +57,7 @@ class MergeError(RuntimeError):
 class HarmoniousPartition:
     """A cutset split into parts, plus the two separated sides.
 
-    ``parts`` are disjoint nonempty vertex sets whose union is the cutset;
+    ``parts`` are disjoint nonempty frozensets whose union is the cutset;
     ``sides``, exactly two, partition the remaining vertices.  Shape is
     validated here, while the parity and completeness conditions are the
     job of ``verify_harmonious``.
@@ -74,6 +74,8 @@ class HarmoniousPartition:
         seen: set[int] = set()
         for what, blocks in (("cutset part", self.parts), ("side", self.sides)):
             for block in blocks:
+                if not isinstance(block, frozenset):
+                    raise ValueError(f"{what} is a {type(block).__name__}, not a frozenset")
                 if not block:
                     raise ValueError(f"empty {what}")
                 if block & seen:
@@ -260,16 +262,8 @@ def _shape(rows: tuple[int, ...], cut: int) -> list[tuple[int, ...]] | None:
         left &= ~(sides[0] | sides[1])
     else:
         return bip
-    # non-adjacency is an equivalence when the sets it gives meet only if equal
-    parts, covered = [], 0
-    for v in iter_bits(cut):
-        away = cut & ~rows[v]
-        if away not in parts:
-            if away & covered:
-                return None
-            parts.append(away)
-            covered |= away
-    return [tuple(parts)]
+    parts = multipartite_parts(rows, cut)
+    return None if parts is None else [tuple(parts)]
 
 
 def find_harmonious_cutset(g: Graph, budget: Budget | None = None) -> CutsetSearchResult:

@@ -4,6 +4,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from heptalab.corpus import all_graphs_up_to
 from heptalab.detect import (
     Budget,
     PatternHit,
@@ -40,6 +41,28 @@ PETERSEN = Graph.from_edges(
 )
 
 T11 = Graph.circulant(11, (3, 4, 5))
+
+
+def gnp(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def complete_multipartite(parts: int, size: int) -> Graph:
+    """K_{parts x size}, vertex v in part v % parts."""
+    n = parts * size
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if (v - u) % parts])
+
+
+def antihole_core(g: Graph) -> set[int]:
+    """What is left of g once vertices with fewer than 4 neighbors or fewer
+    than 2 non-neighbors among those left are dropped, one at a time."""
+    left = set(range(g.n))
+    while True:
+        degree = {v: sum(g.adjacent(v, w) for w in left) for v in left}
+        drop = [v for v in sorted(left) if not 4 <= degree[v] <= len(left) - 3]
+        if not drop:
+            return left
+        left.remove(drop[0])
 
 
 class TestOddHole:
@@ -139,6 +162,39 @@ class TestFullHouse:
                 assert verify_hit(g, fast)
 
 
+    def test_agrees_with_degree_oracle_on_every_graph_up_to_seven(self):
+        houses = 0
+        for g in all_graphs_up_to(7):
+            fast = find_full_house(g)
+            assert (fast is None) == (not full_houses_by_degree(g)), to_graph6(g)
+            if fast is not None:
+                assert verify_hit(g, fast), to_graph6(g)
+                houses += 1
+        assert houses == 288
+
+    def test_agrees_with_degree_oracle_on_dense_random(self):
+        rng = random.Random(26)
+        houses = 0
+        for _ in range(150):
+            g = gnp(rng, rng.randint(8, 12), rng.choice((0.5, 0.7)))
+            fast = find_full_house(g)
+            assert (fast is None) == (not full_houses_by_degree(g)), to_graph6(g)
+            if fast is not None:
+                assert verify_hit(g, fast), to_graph6(g)
+                houses += 1
+        assert 0 < houses < 150
+
+
+class TestCompleteMultipartiteMembers:
+    """K_{12x5} and K_40 are class members, perfect, with many K4s: neither
+    holds a full house or an antihole."""
+
+    @pytest.mark.parametrize("g", [complete_multipartite(12, 5), Graph.complete(40)])
+    def test_no_full_house_and_no_antihole(self, g):
+        assert find_full_house(g) is None
+        assert not has_c7_complement(g)
+
+
 class TestInducedPattern:
     def test_identity_c7_complement(self):
         g = c7_complement()
@@ -198,6 +254,43 @@ class TestInducedPattern:
             h = g.relabel(perm)
             assert has_c7_complement(h) and has_antihole7_by_isomorphism(h), to_graph6(h)
 
+    def test_c7_complement_against_matcher_where_the_peel_keeps_seven(self):
+        rng = random.Random(2607)
+        kept = absent = 0
+        for _ in range(200):
+            g = gnp(rng, rng.randint(9, 12), rng.choice((0.6, 0.7, 0.8)))
+            if len(antihole_core(g)) < 7:
+                continue
+            answer = has_c7_complement(g)
+            assert answer == has_antihole7_by_isomorphism(g), to_graph6(g)
+            kept += 1
+            absent += not answer
+        assert kept >= 50 and 0 < absent < kept
+
+    def test_relabeled_antiholes_with_pendants_and_twins(self):
+        # false twins survive the peel beside their originals, pendant
+        # vertices do not; with one antihole edge removed, the matcher decides
+        rng = random.Random(2608)
+        answers = set()
+        for broken in (False, True) * 20:
+            g = c7_complement()
+            if broken:
+                u = rng.randrange(7)
+                gone = tuple(sorted((u, (u + 1) % 7)))
+                g = Graph.from_edges(7, [e for e in g.edges() if e != gone])
+            for _ in range(rng.randint(1, 4)):
+                g = g.with_vertex(g.rows[rng.randrange(g.n)])
+            for _ in range(rng.randint(1, 3)):
+                g = g.with_vertex(1 << rng.randrange(g.n))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabel(perm)
+            answer = has_c7_complement(h)
+            assert answer == has_antihole7_by_isomorphism(h), to_graph6(h)
+            assert answer or broken
+            answers.add(answer)
+        assert answers == {False, True}
+
     def test_checks_agree_with_isomorphism_on_atlas(self):
         # every graph on 5 vertices is or is not the full house, and every
         # graph on 7 vertices is or is not the 7-antihole
@@ -237,6 +330,10 @@ class TestCliqueNumber:
         omega, witness = clique_number(T11)
         assert omega == 3 and is_clique(T11, witness)
         assert clique_number_subsets(T11) == 3
+
+    def test_large_clique_runs_without_recursion(self):
+        omega, witness = clique_number(Graph.complete(1100))
+        assert omega == 1100 and witness == tuple(range(1100))
 
     def test_random_against_subsets(self):
         rng = random.Random(8)

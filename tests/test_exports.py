@@ -141,6 +141,20 @@ def test_vertex_sets_are_checked_in_one_place():
     assert naming == ["coloring.py", "graph.py"]
 
 
+def test_one_complete_multipartite_test():
+    # the full-house search and the cutset shape share one peel,
+    # ``graph.multipartite_parts``; ``_shape`` builds no parts list of its own
+    naming = sorted(path.name for path in SOURCES if "multipartite_parts" in path.read_text())
+    assert naming == ["detect.py", "graph.py", "harmonious.py"]
+    tree = ast.parse(Path(heptalab.harmonious.__file__).read_text())
+    shape = next(node for node in tree.body if getattr(node, "name", None) == "_shape")
+    calls = [node.func for node in ast.walk(shape) if isinstance(node, ast.Call)]
+    assert "multipartite_parts" in {f.id for f in calls if isinstance(f, ast.Name)}
+    appended = {f.value.id for f in calls if isinstance(f, ast.Attribute) and f.attr == "append"}
+    assert appended == {"bip"}
+    assert not any(isinstance(node, ast.NotIn) for node in ast.walk(shape))
+
+
 def test_package_never_imports_the_tests():
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):

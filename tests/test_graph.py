@@ -13,6 +13,7 @@ from heptalab.graph import (
     from_graph6,
     induced_subgraph,
     is_clique,
+    multipartite_parts,
     to_graph6,
 )
 from heptalab.structures import generate_t11_type
@@ -182,6 +183,33 @@ class TestVertexMasks:
     def test_non_vertex_rejected(self, stray):
         with pytest.raises(ValueError, match="out of range"):
             Graph.cycle(5).vertex_masks([{0}, {stray, 3}])
+
+
+class TestMultipartiteParts:
+    def test_every_mask_of_every_graph_up_to_six(self):
+        # against the definition: G[mask] is complete multipartite when
+        # non-adjacency is an equivalence on mask, and its classes are the parts
+        shapes = {"parts": 0, "none": 0}
+        for g in (g for n in range(7) for g in nonisomorphic_graphs(n)):
+            for mask in range(1 << g.n):
+                vs = [v for v in range(g.n) if mask >> v & 1]
+                away = {v: frozenset(w for w in vs if not g.adjacent(v, w)) for v in vs}
+                equivalence = all(away[v] == away[w] for v in vs for w in away[v])
+                parts = sorted({sum(1 << w for w in cls) for cls in away.values()},
+                               key=lambda part: part & -part)
+                got = multipartite_parts(g.rows, mask)
+                assert got == (parts if equivalence else None), (to_graph6(g), mask)
+                shapes["parts" if equivalence else "none"] += 1
+        assert shapes == {"parts": 7_365, "none": 3_926}
+
+    def test_complete_multipartite_graph(self):
+        # K_{3x2} on interleaved labels: parts {0, 3}, {1, 4}, {2, 5}
+        g = Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if (v - u) % 3])
+        assert multipartite_parts(g.rows, 0b111111) == [0b1001, 0b10010, 0b100100]
+        assert multipartite_parts(g.rows, 0) == []
+        # an edge plus an isolated vertex is not: the isolated vertex sees
+        # neither end, and the ends see each other
+        assert multipartite_parts(Graph.from_edges(3, [(0, 1)]).rows, 0b111) is None
 
 
 class TestPickle:

@@ -217,6 +217,17 @@ class TestVerify:
                 (frozenset({1}),), (frozenset({0}), frozenset({2}), frozenset({5}))
             )
 
+    def test_list_side_rejected(self):
+        # a list is what a JSON record decodes to
+        with pytest.raises(ValueError, match="side is a list, not a frozenset"):
+            HarmoniousPartition((frozenset({1}),), ([0], frozenset({2})))
+
+    def test_mutable_blocks_rejected(self):
+        with pytest.raises(ValueError, match="side is a set, not a frozenset"):
+            HarmoniousPartition((frozenset({1}),), ({0}, frozenset({2})))
+        with pytest.raises(ValueError, match="cutset part is a set, not a frozenset"):
+            HarmoniousPartition(({1},), (frozenset({0}), frozenset({2})))
+
     def test_single_side_rejected(self):
         with pytest.raises(ValueError, match="exactly two sides"):
             HarmoniousPartition((frozenset({1}),), (frozenset({0, 2}),))
