@@ -161,7 +161,6 @@ class TestFullHouse:
             if fast is not None:
                 assert verify_hit(g, fast)
 
-
     def test_agrees_with_degree_oracle_on_every_graph_up_to_seven(self):
         houses = 0
         for g in all_graphs_up_to(7):
