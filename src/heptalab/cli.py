@@ -408,6 +408,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.enumerate is not None and args.input is not None:
+        print("verify takes --enumerate N or an input file, not both", file=sys.stderr)
+        return 3
     if args.enumerate is not None:
         if not 0 <= args.enumerate <= MAX_ENUMERATION_N:
             print(

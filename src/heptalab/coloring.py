@@ -69,23 +69,23 @@ def greedy_coloring(g: Graph) -> Coloring:
     if n == 0:
         return Coloring({}, 0)
     rows = g.rows
-    degree = [r.bit_count() for r in rows]
-    neighbor_colors = [0] * n  # bitmask of the colors among each vertex's neighbors
-    uncolored = list(range(n))
+    neighbor_colors = [0] * n  # bitmask of the colors among each uncolored vertex's neighbors
+    # (distinct neighbor colors) * n + degree per uncolored vertex, -1 once
+    # colored: one max picks by both, and index() keeps the lowest on ties
+    key = [r.bit_count() for r in rows]
+    uncolored = (1 << n) - 1
     colors: dict[int, int] = {}
     for _ in range(n):
-        v = uncolored[0]
-        best = (neighbor_colors[v].bit_count(), degree[v])
-        for u in uncolored:
-            key = (neighbor_colors[u].bit_count(), degree[u])
-            if key > best:  # ties keep the lowest index
-                v, best = u, key
-        uncolored.remove(v)
+        v = key.index(max(key))
+        key[v] = -1
+        uncolored ^= 1 << v
         seen = neighbor_colors[v]
-        c = (~seen & (seen + 1)).bit_length() - 1  # the lowest color not seen
-        colors[v] = c
-        for w in iter_bits(rows[v]):
-            neighbor_colors[w] |= 1 << c
+        bit = ~seen & (seen + 1)  # the lowest color not seen
+        colors[v] = bit.bit_length() - 1
+        for w in iter_bits(rows[v] & uncolored):
+            if not neighbor_colors[w] & bit:
+                neighbor_colors[w] |= bit
+                key[w] += n
     return Coloring(colors, max(colors.values()) + 1)
 
 

@@ -4,8 +4,9 @@ Enumeration is orderly generation.  A graph is canonical when no labeling
 gives it a lexicographically smaller graph6 bit string; each canonical
 (n-1)-vertex graph is extended by one vertex with every possible neighbor
 mask, and an extension is kept exactly when it is itself canonical.  The
-canonicity test places vertices one position at a time with prefix pruning
-and stops at the first smaller labeling.  Every class is made once, with no
+canonicity test places vertices one position at a time with prefix pruning,
+keeping only the least cell of unplaced vertices, as masks, and stops at
+the first smaller labeling.  Every class is made once, with no
 dedupe; this is intended for n <= 8.
 """
 
@@ -45,27 +46,24 @@ def _labeling_below(rows: Sequence[int], bound: Sequence[int]) -> list[int] | No
     The graph6 string is column-major, so placing vertices one position at a
     time fixes it one column at a time.  An unplaced vertex's column is its
     adjacency to the placed ones, an int with the first placed vertex in the
-    most significant bit; vertices of equal column form a cell, and the
-    cells are kept as (vertex mask, column) pairs in increasing column
-    order.  Placing u splits each cell into the non-neighbors and the
-    neighbors of u, appending one bit to the column, which keeps the order.
-    Only the first cell, the least column, is ever placed next (a larger
-    column loses against any completion of a smaller one), and its column is
-    compared with the same column of the bound.  Of two twins (equal
-    neighborhoods apart from each other) only the lower is tried: swapping
-    them is an automorphism that fixes everything placed.
+    most significant bit.  Only a vertex of least column is ever placed next
+    (a larger column loses against any completion of a smaller one), so a
+    search node keeps just that least cell: ``ties``, the mask of the
+    unplaced vertices whose column is least, a column that equals
+    ``bound[k]`` at position k.  Placing u appends one bit to every column:
+    the child's least cell is the rest of ``ties`` that misses u, with one
+    more 0 bit, or else all of that rest, with one more 1 bit.  Only when u
+    was the whole cell is it recomputed from the placed vertices, narrowing
+    the unplaced ones to the non-neighbors of each in turn, when there are
+    any.  The child's column is compared with the bound's before any
+    descent: below it gives a smaller labeling, above it rules u out.  Of
+    two twins (equal neighborhoods apart from each other) only the lower is
+    tried: swapping them is an automorphism that fixes everything placed.
     """
     n = len(rows)
     placed: list[int] = []
 
-    def rec(k: int, cells: list[tuple[int, int]]) -> list[int] | None:
-        if k == n:
-            return None
-        ties, low = cells[0]
-        if low > bound[k]:
-            return None
-        if low < bound[k]:
-            return placed + [v for m, _ in cells for v in range(n) if m >> v & 1]
+    def rec(k: int, ties: int, unplaced: int) -> list[int] | None:
         rest = ties
         while rest:
             bit = rest & -rest
@@ -80,21 +78,34 @@ def _labeling_below(rows: Sequence[int], bound: Sequence[int]) -> list[int] | No
                 below ^= w
             if below:
                 continue
-            child = []
-            for m, c in cells:
-                m &= ~bit
-                if m & ~row:
-                    child.append((m & ~row, c << 1))
-                if m & row:
-                    child.append((m & row, c << 1 | 1))
+            left = unplaced ^ bit
+            if not left:
+                return None  # every column equals the bound's
             placed.append(u)
-            order = rec(k + 1, child)
-            if order is not None:
-                return order
+            cell = ties ^ bit
+            if cell & ~row:
+                cell &= ~row
+                col = bound[k] << 1
+            elif cell:
+                col = bound[k] << 1 | 1
+            else:
+                cell, col = left, 0
+                for p in placed:
+                    col <<= 1
+                    if cell & ~rows[p]:
+                        cell &= ~rows[p]
+                    else:
+                        col |= 1
+            if col < bound[k + 1]:
+                return placed + [v for m in (cell, left ^ cell) for v in range(n) if m >> v & 1]
+            if col == bound[k + 1]:
+                order = rec(k + 1, cell, left)
+                if order is not None:
+                    return order
             placed.pop()
         return None
 
-    return rec(0, [((1 << n) - 1, 0)])
+    return rec(0, (1 << n) - 1, (1 << n) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +122,11 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     Before the full test, an extension is dropped when moving the new vertex
     to some position j < n-1 already gives a smaller column j: the columns
     before j stay the parent's, and the new one is the top j bits of the new
-    vertex's column.
+    vertex's column, ``col >> (n-1-j)``.  For non-negative ints
+    ``col >> s < c`` holds exactly when ``col < c << s``, so the dropped
+    columns are exactly those below one threshold, the largest
+    ``c << (n-1-j)`` over the parent's columns c, and the extensions start
+    there.
 
     The output needs no sort: the parents come in graph6 order, and each
     parent's extensions are made in increasing last column, which is the
@@ -127,9 +142,9 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     out = []
     for parent in nonisomorphic_graphs(new):
         parent_columns = _columns(parent.rows)
-        for col, mask in enumerate(column_masks):
-            if any(col >> (new - j) < parent_columns[j] for j in range(1, new)):
-                continue
+        start = max((c << (new - j) for j, c in enumerate(parent_columns)), default=0)
+        for col in range(start, 1 << new):
+            mask = column_masks[col]
             rows = [r | (mask >> u & 1) << new for u, r in enumerate(parent.rows)]
             rows.append(mask)
             if _labeling_below(rows, parent_columns + [col]) is None:

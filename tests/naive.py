@@ -89,6 +89,28 @@ def naive_chromatic(g: Graph) -> int:
     return k
 
 
+def greedy_coloring_by_scan(g: Graph) -> dict[int, int]:
+    """The saturation-order greedy by a full scan at each step: the uncolored
+    vertex of largest (distinct neighbor colors, degree), the lowest index on
+    ties, takes the lowest color no neighbor has.  The colors come in the
+    order they were set."""
+    degree = [r.bit_count() for r in g.rows]
+    uncolored = list(range(g.n))
+    colors: dict[int, int] = {}
+    while uncolored:
+        def key(u: int) -> tuple[int, int]:
+            return len({colors[w] for w in iter_bits(g.rows[u]) if w in colors}), degree[u]
+
+        v = uncolored[0]
+        for u in uncolored:
+            if key(u) > key(v):
+                v = u
+        uncolored.remove(v)
+        used = {colors[w] for w in iter_bits(g.rows[v]) if w in colors}
+        colors[v] = next(c for c in range(g.n) if c not in used)
+    return colors
+
+
 def is_bipartite(g: Graph) -> bool:
     side = [-1] * g.n
     for start in range(g.n):

@@ -645,6 +645,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, ["verify", "--theorem", "t1.3"])
         assert code == 3 and "enumerate" in err.lower()
 
+    def test_input_file_and_enumerate_exclusive(self, capsys, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_text("garbage\n")
+        code, out, err = run_cli(
+            capsys, ["verify", str(path), "--theorem", "t1.3", "--enumerate", "3"]
+        )
+        assert code == 3 and out == ""
+        assert "--enumerate" in err and "input file" in err
+
     def test_enumerate_cap(self, capsys):
         code, _, err = run_cli(
             capsys, ["verify", "--theorem", "t1.3", "--enumerate", "9"]
@@ -667,14 +676,18 @@ class TestVerify:
         assert code == 3 and out == ""
         assert f"at least 0 and at most {MAX_ENUMERATION_N}" in err
 
-    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize(
+        "n", [0, 1, pytest.param(MAX_ENUMERATION_N, marks=pytest.mark.slow)]
+    )
     def test_enumerate_range_ends_accepted(self, capsys, n):
         code, out, _ = run_cli(
             capsys,
             ["verify", "--theorem", "t1.3", "--enumerate", str(n), "--no-timings"],
         )
         (v,) = json_lines(out)
-        assert code == 0 and v["total"] == len(all_graphs_up_to(n))
+        # graphs with at most n vertices (partial sums of OEIS A000088)
+        total = {0: 1, 1: 2, 8: 13599}[n]
+        assert code == 0 and v["total"] == len(all_graphs_up_to(n)) == total
 
     def test_non_ascii_byte_in_file(self, capsys, tmp_path):
         path = tmp_path / "in.g6"

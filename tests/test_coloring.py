@@ -5,6 +5,7 @@ import pytest
 
 from heptalab.coloring import Coloring, chromatic_number_exact, greedy_coloring, is_proper
 from heptalab.detect import Budget, SearchBudgetExceeded, c7_complement, clique_number
+from heptalab.corpus import all_graphs_up_to
 from heptalab.graph import Graph, from_graph6, is_clique
 from heptalab.structures import (
     _HEPTA_COLORS,
@@ -16,7 +17,7 @@ from heptalab.structures import (
     generate_t11_type,
 )
 
-from .naive import naive_chromatic
+from .naive import greedy_coloring_by_scan, naive_chromatic
 from .planted import from_edge_mask
 
 
@@ -227,3 +228,18 @@ class TestIsProper:
             n = rng.randint(1, 12)
             g = from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2))
             assert is_proper(g, greedy_coloring(g))
+
+    def test_greedy_matches_scan_oracle(self):
+        # the same colors, set in the same order, as a full scan per step on
+        # every graph with at most 7 vertices and on seeded G(n, p) up to 40
+        rng = random.Random(11)
+        graphs = list(all_graphs_up_to(7))
+        for _ in range(300):
+            n, p = rng.randint(0, 40), rng.random()
+            graphs.append(Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            ))
+        for g in graphs:
+            colors = greedy_coloring(g).colors
+            oracle = greedy_coloring_by_scan(g)
+            assert colors == oracle and list(colors) == list(oracle), g

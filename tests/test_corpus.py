@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heptalab.corpus import (
+    MAX_ENUMERATION_N,
+    _column,
     _columns,
     _labeling_below,
     all_graphs_up_to,
@@ -22,7 +24,7 @@ from .naive import (
 from .planted import from_edge_mask, random_graphs
 
 # number of graphs on n vertices up to isomorphism (OEIS A000088)
-GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044]
+GRAPH_COUNTS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
 
 
 class TestEnumeration:
@@ -33,6 +35,13 @@ class TestEnumeration:
     @pytest.mark.slow
     def test_count_n7(self):
         assert len(nonisomorphic_graphs(7)) == GRAPH_COUNTS[7]
+
+    @pytest.mark.slow
+    def test_count_and_order_at_max_n(self):
+        graphs = nonisomorphic_graphs(MAX_ENUMERATION_N)
+        assert len(graphs) == GRAPH_COUNTS[MAX_ENUMERATION_N]
+        keys = [to_graph6(g) for g in graphs]
+        assert keys == sorted(keys)
 
     def test_all_canonical_and_sorted(self):
         # made in graph6 order, with no sort, at every order up to 7
@@ -81,6 +90,23 @@ class TestOrderlyGeneration:
     @pytest.mark.slow
     def test_matches_dedupe_oracle_n7(self):
         assert nonisomorphic_graphs(7) == nonisomorphic_by_dedupe(7)
+
+    def test_threshold_drops_only_noncanonical_extensions(self):
+        # the last columns below max(c << (new - j)) over the parent's columns
+        # are exactly those that the per-position test (the new vertex moved
+        # to position j gives a smaller column j) drops, and each of them has
+        # a smaller labeling
+        for parent in all_graphs_up_to(6):
+            new = parent.n
+            parent_columns = _columns(parent.rows)
+            threshold = max((c << (new - j) for j, c in enumerate(parent_columns)), default=0)
+            for col in range(1 << new):
+                dropped = any(col >> (new - j) < parent_columns[j] for j in range(1, new))
+                assert dropped == (col < threshold), (parent, col)
+                h = parent.with_vertex(_column(col, new))
+                assert _columns(h.rows) == parent_columns + [col]
+                if dropped:
+                    assert _labeling_below(h.rows, _columns(h.rows)) is not None
 
     def test_canonicity_on_every_extension(self):
         # every one-vertex extension of every graph with at most 5 vertices
