@@ -94,19 +94,22 @@ def greedy_coloring_by_scan(g: Graph) -> dict[int, int]:
     vertex of largest (distinct neighbor colors, degree), the lowest index on
     ties, takes the lowest color no neighbor has.  The colors come in the
     order they were set."""
-    degree = [r.bit_count() for r in g.rows]
-    uncolored = list(range(g.n))
     colors: dict[int, int] = {}
-    while uncolored:
-        def key(u: int) -> tuple[int, int]:
-            return len({colors[w] for w in iter_bits(g.rows[u]) if w in colors}), degree[u]
 
+    def neighbor_colors(u: int) -> set[int]:
+        return {colors[w] for w in iter_bits(g.rows[u]) if w in colors}
+
+    def key(u: int) -> tuple[int, int]:
+        return len(neighbor_colors(u)), g.rows[u].bit_count()
+
+    uncolored = list(range(g.n))
+    while uncolored:
         v = uncolored[0]
         for u in uncolored:
             if key(u) > key(v):
                 v = u
         uncolored.remove(v)
-        used = {colors[w] for w in iter_bits(g.rows[v]) if w in colors}
+        used = neighbor_colors(v)
         colors[v] = next(c for c in range(g.n) if c not in used)
     return colors
 

@@ -686,7 +686,7 @@ class TestVerify:
         )
         (v,) = json_lines(out)
         # graphs with at most n vertices (partial sums of OEIS A000088)
-        total = {0: 1, 1: 2, 8: 13599}[n]
+        total = {0: 1, 1: 2, MAX_ENUMERATION_N: 13599}[n]
         assert code == 0 and v["total"] == len(all_graphs_up_to(n)) == total
 
     def test_non_ascii_byte_in_file(self, capsys, tmp_path):

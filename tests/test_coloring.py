@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from heptalab.coloring import Coloring, chromatic_number_exact, greedy_coloring, is_proper
-from heptalab.detect import Budget, SearchBudgetExceeded, c7_complement, clique_number
 from heptalab.corpus import all_graphs_up_to
+from heptalab.detect import Budget, SearchBudgetExceeded, c7_complement, clique_number
 from heptalab.graph import Graph, from_graph6, is_clique
 from heptalab.structures import (
     _HEPTA_COLORS,
